@@ -230,9 +230,6 @@ class SlaAllocator:
         self.security_class = security_class
         self.tracks: dict[str, _RequestTrack] = {}
         self.invoices: dict[str, Invoice] = {}
-        # (at, accepted) per examination; (at, lateness) per completion
-        self.examinations: list[tuple[int, bool]] = []
-        self.completions: list[tuple[int, int]] = []
 
     # -- admission -----------------------------------------------------------
 
@@ -240,7 +237,6 @@ class SlaAllocator:
         self,
         request: ServiceRequest,
         at: int,
-        load_stats: dict | None = None,
         backing: tuple[str, int, int] | None = None,
         agreed_price: Money | None = None,
         enforce_deadline: bool = True,
@@ -254,15 +250,12 @@ class SlaAllocator:
         overrides the posted quote when a price was already negotiated.
         With `enforce_deadline` off, slots past the deadline are searched
         up to `horizon` and lateness is settled through penalties instead.
-        `load_stats` (see historical_stats) is accepted for policy tuning
-        but the v1 examiner does not act on it.
         """
         decision = self._examine_inner(
             request, at, backing, agreed_price, enforce_deadline, horizon
         )
         if isinstance(decision, Accept):
             self.tracks[request.request_id] = _RequestTrack(request, decision.plan)
-        self.examinations.append((at, decision.accepted))
         payload = {
             "provider": self.datacenter.provider_id,
             "request_id": request.request_id,
@@ -366,9 +359,7 @@ class SlaAllocator:
         self._track(request_id).exec_start = exec_start
 
     def mark_completed(self, request_id: str, at: int) -> None:
-        track = self._track(request_id)
-        track.completed_at = at
-        self.completions.append((at, max(0, at - track.request.qos.deadline)))
+        self._track(request_id).completed_at = at
 
     def mark_failed(self, request_id: str, at: int) -> None:
         self._track(request_id).failed_at = at
@@ -439,22 +430,3 @@ class SlaAllocator:
             track.request.workload_volume,
         )
         return ProgressReport(request_id, EXECUTING, min(done, Fraction(1)), plan.completion)
-
-    def historical_stats(self, window_start: int, window_end: int) -> dict:
-        """Acceptance, utilization, and lateness over [window_start, window_end).
-
-        Each statistic is present only when its underlying data exists in
-        the window; an empty window yields an empty mapping, never zeros.
-        """
-        stats: dict = {}
-        examined = [ok for at, ok in self.examinations if window_start <= at < window_end]
-        if examined:
-            stats["acceptance_rate"] = Fraction(sum(examined), len(examined))
-        finished = [late for at, late in self.completions if window_start <= at < window_end]
-        if finished:
-            stats["mean_lateness"] = Fraction(sum(finished), len(finished))
-        if window_end > window_start:
-            ticks = range(window_start, window_end)
-            total = sum(self.datacenter.utilization_at(t) for t in ticks)
-            stats["mean_utilization"] = total / len(ticks)
-        return stats

@@ -18,7 +18,12 @@ from pathlib import Path
 from .datacenter import CapacityViolation, InsufficientCapacity
 from .exchange import ConservationError
 from .metrics import CrossCheckFailure, OutOfOrderEvent, REQUEST_CSV_FIELDS, report
-from .simulation import RunResult, compare_modes, run_scenario
+from .simulation import (
+    BackedAdmissionRejected,
+    RunResult,
+    compare_modes,
+    run_scenario,
+)
 from .workload import (
     ParseError,
     Scenario,
@@ -36,7 +41,7 @@ OUT_DIR_ENV = "CLOUDMARKET_OUT"
 
 INVARIANT_ERRORS = (
     CapacityViolation, InsufficientCapacity, ConservationError,
-    CrossCheckFailure, OutOfOrderEvent, AssertionError,
+    CrossCheckFailure, OutOfOrderEvent, BackedAdmissionRejected,
 )
 
 
@@ -129,9 +134,7 @@ def _write_artifacts(out: Path, args, result: RunResult) -> list[Path]:
 
     if args.trace == "on":
         trace_path = out / f"trace_seed{seed}.log"
-        trace_path.write_text(
-            "\n".join(result.trace.lines()) + "\n", encoding="utf-8",
-        )
+        trace_path.write_text(result.trace_text + "\n", encoding="utf-8")
         paths.append(trace_path)
     return paths
 

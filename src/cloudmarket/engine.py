@@ -40,12 +40,6 @@ class Event:
     payload: dict = field(compare=False)
 
 
-@dataclass
-class RunStats:
-    events_fired: int
-    final_clock: int
-
-
 def payload_digest(payload: dict) -> str:
     """Stable short digest of an event payload for the trace file."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
@@ -142,7 +136,6 @@ class SimEngine:
         self.streams = RngStreams(master_seed)
         self._queue: list[Event] = []
         self._next_seq = 0
-        self._events_fired = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self._observers: list[Callable[[Event], None]] = []
 
@@ -170,28 +163,21 @@ class SimEngine:
 
     # -- execution --------------------------------------------------------
 
-    def run_until(self, t_end: int) -> RunStats:
+    def run_until(self, t_end: int) -> None:
         while self._queue and self._queue[0].fire_at <= t_end:
             event = heapq.heappop(self._queue)
             self.clock = event.fire_at
-            self._events_fired += 1
             for observer in self._observers:
                 observer(event)
             handler = self._handlers.get(event.kind)
             if handler is not None:
                 handler(event)
         self.clock = max(self.clock, t_end)
-        return RunStats(events_fired=self._events_fired, final_clock=self.clock)
 
-    def drain(self) -> RunStats:
+    def drain(self) -> None:
         """Run until the queue is empty, however far past t_end that goes."""
         while self._queue:
             self.run_until(self._queue[0].fire_at)
-        return RunStats(events_fired=self._events_fired, final_clock=self.clock)
-
-    @property
-    def events_scheduled(self) -> int:
-        return self._next_seq
 
     @property
     def pending(self) -> int:
@@ -202,7 +188,11 @@ class SimEngine:
 
 
 class TraceRecorder:
-    """Observer that keeps fired events and can render the trace file."""
+    """The run's one event log: every fired event, in firing order.
+
+    The summary's mean price, the cross-check and the trace file all
+    read this list; `lines()` renders it as the trace file's lines.
+    """
 
     def __init__(self) -> None:
         self.events: list[Event] = []
@@ -212,17 +202,3 @@ class TraceRecorder:
 
     def lines(self) -> list[str]:
         return [trace_line(ev) for ev in self.events]
-
-    def digest(self) -> str:
-        body = "\n".join(self.lines())
-        return hashlib.sha256(body.encode("utf-8")).hexdigest()
-
-    def filtered(self, kind: str) -> list[Event]:
-        return [ev for ev in self.events if ev.kind == kind]
-
-
-def fresh_engine(master_seed: int, *stream_ids: str) -> SimEngine:
-    engine = SimEngine(master_seed)
-    for stream_id in stream_ids:
-        engine.streams.register(stream_id)
-    return engine

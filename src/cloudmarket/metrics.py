@@ -1,9 +1,11 @@
 """Run measurement: per-request records, aggregates, and consistency checks.
 
-The collector ingests the event stream in time order and keeps both raw
-events and incremental aggregates.  After a run the aggregates are
-recomputed from the raw events and reconciled against the money ledger;
-any disagreement raises instead of reporting silently wrong numbers.
+The collector ingests the event stream in time order and keeps
+incremental aggregates and per-request records; the raw events live in
+the run's one event log (engine.TraceRecorder).  After a run the
+aggregates are recomputed from that log and reconciled against the
+money ledger; any disagreement raises instead of reporting silently
+wrong numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class OutOfOrderEvent(Exception):
 
 
 class CrossCheckFailure(Exception):
-    """Aggregates, raw events, and the ledger stopped agreeing."""
+    """Aggregates, the event log, and the ledger stopped agreeing."""
 
 
 @dataclass
@@ -130,7 +132,6 @@ class MetricsCollector:
     """Streams events into per-request records and incremental tallies."""
 
     def __init__(self) -> None:
-        self.events: list[tuple[int, str, dict]] = []
         self.records: dict[str, RequestRecord] = {}
         self._last_time: int | None = None
         self.submitted = 0
@@ -151,7 +152,6 @@ class MetricsCollector:
         if self._last_time is not None and at < self._last_time:
             raise OutOfOrderEvent(f"{kind} at {at} after seeing {self._last_time}")
         self._last_time = at
-        self.events.append((at, kind, dict(payload)))
         handler = getattr(self, f"_on_{kind}", None)
         if handler is not None:
             handler(at, payload)
@@ -223,6 +223,7 @@ class MetricsCollector:
 
     def summary(
         self,
+        events: list[Event],
         scenario: str,
         scenario_digest: str,
         mode: str,
@@ -256,8 +257,9 @@ class MetricsCollector:
         )
         deadline_violations_served = sum(1 for r in served_recs if r.lateness > 0)
         accepted_prices = [
-            p["price"] for _, k, p in self.events
-            if k == "admission" and p["accepted"] and p.get("price") is not None
+            ev.payload["price"] for ev in events
+            if ev.kind == "admission" and ev.payload["accepted"]
+            and ev.payload.get("price") is not None
         ]
         mean_price = (
             float(Fraction(sum(accepted_prices), len(accepted_prices)))
@@ -294,50 +296,53 @@ class MetricsCollector:
             mean_price=mean_price,
         )
 
-    def cross_check(self, summary: RunSummary, ledger: Ledger,
+    def cross_check(self, events: list[Event], summary: RunSummary, ledger: Ledger,
                     initial_funds: dict[str, Money], consumer_ids: list[str]) -> None:
-        """Recompute every aggregate from the raw event log and the journal.
+        """Recompute every aggregate from the event log and the journal.
 
         The incremental tallies, the event log, and the double-entry
         journal are three independent accounts of the same run; this is
         where they must all agree.
         """
-        recount_submitted = sum(1 for _, k, _p in self.events if k == "request_submitted")
+        by_kind: dict[str, list[dict]] = {}
+        for ev in events:
+            by_kind.setdefault(ev.kind, []).append(ev.payload)
+        admissions = by_kind.get("admission", [])
+        served = by_kind.get("request_served", [])
+
+        recount_submitted = len(by_kind.get("request_submitted", []))
         if recount_submitted != summary.submitted:
             raise CrossCheckFailure(
                 f"submitted: log says {recount_submitted}, tally {summary.submitted}"
             )
-        recount_accepted = sum(
-            1 for _, k, p in self.events if k == "admission" and p["accepted"]
-        )
+        recount_accepted = sum(1 for p in admissions if p["accepted"])
         if recount_accepted != summary.accepted:
             raise CrossCheckFailure(
                 f"accepted: log says {recount_accepted}, tally {summary.accepted}"
             )
-        recount_served = sum(1 for _, k, _p in self.events if k == "request_served")
-        if recount_served != summary.served:
+        if len(served) != summary.served:
             raise CrossCheckFailure(
-                f"served: log says {recount_served}, tally {summary.served}"
+                f"served: log says {len(served)}, tally {summary.served}"
             )
-        recount_unserved = sum(1 for _, k, _p in self.events if k == "request_unserved")
+        recount_unserved = len(by_kind.get("request_unserved", []))
         if recount_unserved != summary.unserved:
             raise CrossCheckFailure(
                 f"unserved: log says {recount_unserved}, tally {summary.unserved}"
             )
         rejections: dict[str, int] = {}
-        for _, kind, p in self.events:
-            if kind == "admission" and not p["accepted"]:
+        for p in admissions:
+            if not p["accepted"]:
                 rejections[p["reason"]] = rejections.get(p["reason"], 0) + 1
         if rejections != summary.rejections:
             raise CrossCheckFailure(
                 f"rejections: log says {rejections}, tally {summary.rejections}"
             )
-        traded = sum(p["quantity"] for _, k, p in self.events if k == "trade")
+        traded = sum(p["quantity"] for p in by_kind.get("trade", []))
         if traded != summary.traded_quantity:
             raise CrossCheckFailure(
                 f"traded quantity: log says {traded}, tally {summary.traded_quantity}"
             )
-        penalties = sum(p["penalty"] for _, k, p in self.events if k == "settlement")
+        penalties = sum(p["penalty"] for p in by_kind.get("settlement", []))
         if penalties != summary.penalties_paid:
             raise CrossCheckFailure(
                 f"penalties: log says {penalties}, tally {summary.penalties_paid}"
@@ -355,9 +360,7 @@ class MetricsCollector:
             raise CrossCheckFailure(
                 f"consumer spend: ledger says {spend}, summary {summary.consumer_spend}"
             )
-        served_paid = sum(
-            p["consumer_paid"] for _, k, p in self.events if k == "request_served"
-        )
+        served_paid = sum(p["consumer_paid"] for p in served)
         if served_paid != summary.consumer_spend:
             raise CrossCheckFailure(
                 f"consumer spend: events say {served_paid}, "

@@ -67,6 +67,10 @@ UNSERVED_NEGOTIATION_FAILED = "NegotiationFailed"
 UNSERVED_HORIZON = "HorizonExhausted"
 
 
+class BackedAdmissionRejected(Exception):
+    """A provider's examiner refused a request whose slot was already reserved."""
+
+
 def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(dump_scenario(scenario).encode("utf-8")).hexdigest()
 
@@ -112,6 +116,7 @@ class RunResult:
     collector: MetricsCollector
     ledger: Ledger
     trace: TraceRecorder
+    trace_text: str  # the trace file's body, rendered once from trace.events
     requests: list[ServiceRequest]
     request_digest: str
 
@@ -334,7 +339,12 @@ class _Run:
 
     # -- wrap-up ------------------------------------------------------------------
 
-    def finish(self) -> RunSummary:
+    def finish(self) -> tuple[RunSummary, str]:
+        """Drain the run, then summarize and cross-check it from the one event log.
+
+        Returns the summary and the trace text, rendered once; the
+        summary's trace digest is the sha256 of that text.
+        """
         self.engine.run_until(self.scenario.horizon)
         self.engine.drain()
         for request_id in sorted(self.pending):
@@ -342,20 +352,25 @@ class _Run:
         self.pending.clear()
         self.engine.drain()
 
+        # work drained past the horizon still counts, so the share is
+        # taken over the whole simulated span
+        span = max(self.scenario.horizon, self.engine.clock)
         utilization = {}
         for provider_id, prov in self.providers.items():
-            denom = prov.datacenter.total_cpu_capacity * self.scenario.horizon
+            denom = prov.datacenter.total_cpu_capacity * span
             utilization[provider_id] = (
                 float(Fraction(self.delivered_cu[provider_id], denom)) if denom else 0.0
             )
+        trace_text = "\n".join(self.trace.lines())
         summary = self.collector.summary(
+            self.trace.events,
             scenario=self.scenario.name,
             scenario_digest=scenario_digest(self.scenario),
             mode=self.mode,
             seed=self.seed,
             horizon=self.scenario.horizon,
             events_fired=len(self.trace.events),
-            trace_digest=self.trace.digest(),
+            trace_digest=hashlib.sha256(trace_text.encode("utf-8")).hexdigest(),
             ledger=self.ledger,
             initial_funds=self.funded,
             provider_ids=sorted(self.providers),
@@ -364,9 +379,9 @@ class _Run:
             utilization=utilization,
         )
         self.collector.cross_check(
-            summary, self.ledger, self.funded, sorted(self.proxies),
+            self.trace.events, summary, self.ledger, self.funded, sorted(self.proxies),
         )
-        return summary
+        return summary, trace_text
 
 
 # -- queue baseline ---------------------------------------------------------------
@@ -682,7 +697,11 @@ class _MarketRun(_Run):
             backing=(machine_id, start, end),
             agreed_price=consumer_price,
         )
-        assert isinstance(decision, Accept)
+        if not isinstance(decision, Accept):
+            raise BackedAdmissionRejected(
+                f"{request.request_id}: {provider_id} rejected its reserved slot "
+                f"on {machine_id} [{start}, {end}): {decision.reason} ({decision.detail})"
+            )
         self.committed[request.request_id] = _Commitment(
             request, provider_id, broker_id, sla_consumer, sla_procure,
             machine_id, start,
@@ -770,7 +789,7 @@ def run_scenario(
         raise ValueError(f"unknown mode {mode!r}")
     run.start()
     run.schedule_requests(requests)
-    summary = run.finish()
+    summary, trace_text = run.finish()
     return RunResult(
         scenario=scenario,
         seed=seed,
@@ -779,6 +798,7 @@ def run_scenario(
         collector=run.collector,
         ledger=run.ledger,
         trace=run.trace,
+        trace_text=trace_text,
         requests=requests,
         request_digest=request_trace_digest(requests),
     )

@@ -110,7 +110,7 @@ def hundred_runs():
         vm_events = []
         reservations = []
         settlements = []
-        for _, kind, p in result.collector.events:
+        for kind, p in ((ev.kind, ev.payload) for ev in result.trace.events):
             if kind in ("vm_provision", "vm_release"):
                 vm_events.append((kind, p["machine"], p["cpu"], p["mem"]))
             elif kind == "reservation":

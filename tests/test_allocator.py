@@ -415,20 +415,3 @@ def test_progress_after_completion():
     report = alloc.progress("req000001", at=plan.completion)
     assert report.state == "Completed"
     assert report.fraction_done == 1
-
-
-def test_empty_stats_window_reports_nothing():
-    alloc = make_allocator([("m1", 4, 16)])
-    stats = alloc.historical_stats(0, 0)
-    assert "acceptance_rate" not in stats
-    assert "mean_lateness" not in stats
-
-
-def test_acceptance_rate_counts_examinations():
-    alloc = make_allocator([("m1", 4, 16)])
-    ok = request("req000001", 0, volume=4, cpu=4, deadline=50, budget=10_000)
-    bad = request("req000002", 0, volume=400, cpu=4, deadline=5, budget=10_000)
-    alloc.examine(ok, at=0)
-    alloc.examine(bad, at=0)
-    stats = alloc.historical_stats(0, 10)
-    assert stats["acceptance_rate"] == Fraction(1, 2)

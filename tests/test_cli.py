@@ -1,12 +1,14 @@
 """Command-line contract: exit codes, artifacts, and sweep tables."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 import yaml
 
+from cloudmarket.allocator import REJECT_CAPACITY, Reject, SlaAllocator
 from cloudmarket.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -75,6 +77,29 @@ def test_run_writes_all_four_artifacts(tmp_path, capsys):
 
     journal = read_csv(out / "journal_seed5.csv")
     assert [r["seq"] for r in journal] == [str(i) for i in range(len(journal))]
+
+    trace = (out / "trace_seed5.log").read_text(encoding="utf-8")
+    assert trace.endswith("\n")
+    body = trace[:-1].encode("utf-8")
+    assert hashlib.sha256(body).hexdigest() == summary["trace_digest"]
+
+
+def test_rejected_backed_admission_exits_four_and_names_the_request(
+        tmp_path, monkeypatch, capsys):
+    real_examine = SlaAllocator.examine
+    refused = []
+
+    def refuse_backed(self, request, at, backing=None, **kwargs):
+        if backing is None:
+            return real_examine(self, request, at, **kwargs)
+        refused.append(request.request_id)
+        return Reject(REJECT_CAPACITY, "refused for the test")
+
+    monkeypatch.setattr(SlaAllocator, "examine", refuse_backed)
+    code = main(["--scenario", SMOKE, "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert refused and refused[0] in err
 
 
 def test_trace_off_suppresses_the_log(tmp_path, capsys):

@@ -193,7 +193,7 @@ def test_dispatch_completion_arithmetic():
     vm_id = dc.provision_vm(4, 1, at=10)
     dc.dispatch("req000001", vm_id, at=10, workload_volume=100)
     engine.drain()
-    completion = recorder.filtered("completion")[0]
+    completion = [ev for ev in recorder.events if ev.kind == "completion"][0]
     assert completion.fire_at == 35
 
 
@@ -203,7 +203,7 @@ def test_dispatch_rounds_partial_ticks_up():
     vm_id = dc.provision_vm(4, 1, at=0)
     dc.dispatch("req000001", vm_id, at=0, workload_volume=10)
     engine.drain()
-    assert recorder.filtered("completion")[0].fire_at == 3
+    assert [ev for ev in recorder.events if ev.kind == "completion"][0].fire_at == 3
 
 
 def test_dispatch_waits_for_boot():
@@ -211,8 +211,8 @@ def test_dispatch_waits_for_boot():
     vm_id = dc.provision_vm(4, 1, at=0)
     dc.dispatch("req000001", vm_id, at=0, workload_volume=4)
     engine.drain()
-    assert recorder.filtered("dispatch")[0].payload["start"] == 5
-    assert recorder.filtered("completion")[0].fire_at == 6
+    assert [ev for ev in recorder.events if ev.kind == "dispatch"][0].payload["start"] == 5
+    assert [ev for ev in recorder.events if ev.kind == "completion"][0].fire_at == 6
 
 
 def test_dispatch_to_busy_vm():

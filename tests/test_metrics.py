@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cloudmarket.engine import Event, SimEngine, TraceRecorder
 from cloudmarket.exchange import Ledger
 from cloudmarket.metrics import (
     REQUEST_CSV_FIELDS,
@@ -16,15 +17,23 @@ from cloudmarket.metrics import (
 )
 
 
-def summarize(collector, ledger, *, initial_funds, providers, brokers, consumers,
-              utilization=None):
+def feed(collector, events, at, kind, payload):
+    """Log one event and show it to the collector, as a run's observers do."""
+    event = Event(at, len(events), kind, payload)
+    events.append(event)
+    collector.observer(event)
+
+
+def summarize(collector, events, ledger, *, initial_funds, providers, brokers,
+              consumers, utilization=None):
     return collector.summary(
+        events,
         scenario="synthetic",
         scenario_digest="0" * 16,
         mode="market",
         seed=7,
         horizon=100,
-        events_fired=len(collector.events),
+        events_fired=len(events),
         trace_digest="f" * 16,
         ledger=ledger,
         initial_funds=initial_funds,
@@ -38,52 +47,53 @@ def summarize(collector, ledger, *, initial_funds, providers, brokers, consumers
 def small_run():
     """One served request, one budget rejection, consistent ledger."""
     collector = MetricsCollector()
+    events = []
     ledger = Ledger()
     ledger.fund("acme", 5_000, at=0)
     ledger.open_account("alpine")
 
-    collector.record(0, "request_submitted", {
+    feed(collector, events, 0, "request_submitted", {
         "request_id": "req000001", "consumer": "acme", "volume": 12,
         "cpu_need": 2, "deadline": 20, "budget": 900,
     })
-    collector.record(0, "admission", {
+    feed(collector, events, 0, "admission", {
         "request_id": "req000001", "accepted": True,
         "provider": "alpine", "price": 600,
     })
-    collector.record(1, "request_submitted", {
+    feed(collector, events, 1, "request_submitted", {
         "request_id": "req000002", "consumer": "acme", "volume": 50,
         "cpu_need": 2, "deadline": 30, "budget": 10,
     })
-    collector.record(1, "admission", {
+    feed(collector, events, 1, "admission", {
         "request_id": "req000002", "accepted": False,
         "reason": "BudgetInfeasible",
     })
     ledger.transfer("acme", "alpine", 600, at=18, memo="invoice req000001")
-    collector.record(18, "settlement", {"sla_id": "sla000001", "penalty": 0})
-    collector.record(18, "request_served", {
+    feed(collector, events, 18, "settlement", {"sla_id": "sla000001", "penalty": 0})
+    feed(collector, events, 18, "request_served", {
         "request_id": "req000001", "provider": "alpine",
         "completed_at": 18, "lateness": 0,
         "consumer_paid": 600, "penalty_received": 0,
     })
-    return collector, ledger
+    return collector, events, ledger
 
 
 def small_summary():
-    collector, ledger = small_run()
+    collector, events, ledger = small_run()
     summary = summarize(
-        collector, ledger,
+        collector, events, ledger,
         initial_funds={"acme": 5_000},
         providers=["alpine"], brokers=[], consumers=["acme"],
         utilization={"alpine": 0.25},
     )
-    return collector, ledger, summary
+    return collector, events, ledger, summary
 
 
 def test_empty_collector_summarizes_to_zeroes():
     collector = MetricsCollector()
     ledger = Ledger()
     ledger.fund("acme", 1_000, at=0)
-    summary = summarize(collector, ledger, initial_funds={"acme": 1_000},
+    summary = summarize(collector, [], ledger, initial_funds={"acme": 1_000},
                         providers=[], brokers=[], consumers=["acme"])
     assert summary.submitted == 0
     assert summary.accepted == 0
@@ -93,11 +103,11 @@ def test_empty_collector_summarizes_to_zeroes():
     assert summary.consumer_spend == 0
     assert summary.mean_turnaround is None
     assert summary.mean_price is None
-    collector.cross_check(summary, ledger, {"acme": 1_000}, ["acme"])
+    collector.cross_check([], summary, ledger, {"acme": 1_000}, ["acme"])
 
 
 def test_single_lifecycle_counts():
-    _, _, summary = small_summary()
+    *_, summary = small_summary()
     assert summary.submitted == 2
     assert summary.accepted == 1
     assert summary.served == 1
@@ -110,34 +120,34 @@ def test_single_lifecycle_counts():
 
 
 def test_cross_check_accepts_consistent_run():
-    collector, ledger, summary = small_summary()
-    collector.cross_check(summary, ledger, {"acme": 5_000}, ["acme"])
+    collector, events, ledger, summary = small_summary()
+    collector.cross_check(events, summary, ledger, {"acme": 5_000}, ["acme"])
 
 
 def test_cross_check_catches_tampered_tally():
-    collector, ledger, summary = small_summary()
+    collector, events, ledger, summary = small_summary()
     summary = dataclasses.replace(summary, submitted=summary.submitted + 1)
     with pytest.raises(CrossCheckFailure, match="submitted"):
-        collector.cross_check(summary, ledger, {"acme": 5_000}, ["acme"])
+        collector.cross_check(events, summary, ledger, {"acme": 5_000}, ["acme"])
 
 
 def test_cross_check_catches_tampered_journal():
-    collector, ledger, summary = small_summary()
+    collector, events, ledger, summary = small_summary()
     # live balances still agree with the summary, but the audit trail lies
     doctored = dataclasses.replace(ledger.journal[-1], amount=599)
     ledger.journal[-1] = doctored
     with pytest.raises(CrossCheckFailure, match="replay"):
-        collector.cross_check(summary, ledger, {"acme": 5_000}, ["acme"])
+        collector.cross_check(events, summary, ledger, {"acme": 5_000}, ["acme"])
 
 
 def test_cross_check_catches_mispriced_served_event():
-    collector, ledger, summary = small_summary()
-    for i, (at, kind, payload) in enumerate(collector.events):
-        if kind == "request_served":
-            payload = dict(payload, consumer_paid=601)
-            collector.events[i] = (at, kind, payload)
+    collector, events, ledger, summary = small_summary()
+    for i, ev in enumerate(events):
+        if ev.kind == "request_served":
+            payload = dict(ev.payload, consumer_paid=601)
+            events[i] = dataclasses.replace(ev, payload=payload)
     with pytest.raises(CrossCheckFailure, match="spend"):
-        collector.cross_check(summary, ledger, {"acme": 5_000}, ["acme"])
+        collector.cross_check(events, summary, ledger, {"acme": 5_000}, ["acme"])
 
 
 def test_events_must_arrive_in_time_order():
@@ -149,14 +159,21 @@ def test_events_must_arrive_in_time_order():
 
 
 def test_unknown_event_kinds_are_kept_but_ignored():
+    engine = SimEngine()
+    log = TraceRecorder()
     collector = MetricsCollector()
-    collector.record(0, "provider_gossip", {"anything": True})
-    assert collector.events == [(0, "provider_gossip", {"anything": True})]
-    assert collector.submitted == 0
+    engine.add_observer(log)
+    engine.add_observer(collector.observer)
+    engine.emit("provider_gossip", {"anything": True})
+    engine.drain()
+    assert [(ev.kind, ev.payload) for ev in log.events] == [
+        ("provider_gossip", {"anything": True})]
+    assert collector.submitted == 0 and collector.records == {}
 
 
 def test_lateness_aggregation_and_mean_price():
     collector = MetricsCollector()
+    events = []
     ledger = Ledger()
     ledger.fund("acme", 10_000, at=0)
     ledger.open_account("alpine")
@@ -164,31 +181,31 @@ def test_lateness_aggregation_and_mean_price():
         [(600, 600, 10, 0), (900, 860, 25, 3)], start=1
     ):
         rid = f"req{n:06d}"
-        collector.record(0, "request_submitted", {
+        feed(collector, events, 0, "request_submitted", {
             "request_id": rid, "consumer": "acme", "volume": 8,
             "cpu_need": 1, "deadline": 22, "budget": 1_000,
         })
-        collector.record(0, "admission", {
+        feed(collector, events, 0, "admission", {
             "request_id": rid, "accepted": True, "provider": "alpine",
             "price": price,
         })
-    collector.record(10, "request_served", {
+    feed(collector, events, 10, "request_served", {
         "request_id": "req000001", "completed_at": 10, "lateness": 0,
         "consumer_paid": 600, "penalty_received": 0,
     })
-    collector.record(25, "request_served", {
+    feed(collector, events, 25, "request_served", {
         "request_id": "req000002", "completed_at": 25, "lateness": 3,
         "consumer_paid": 860, "penalty_received": 40,
     })
     ledger.transfer("acme", "alpine", 600 + 860, at=25, memo="invoices")
-    summary = summarize(collector, ledger, initial_funds={"acme": 10_000},
+    summary = summarize(collector, events, ledger, initial_funds={"acme": 10_000},
                         providers=["alpine"], brokers=[], consumers=["acme"])
     assert summary.late == 1 and summary.on_time == 1
     assert summary.total_lateness == 3
     assert summary.deadline_violations_served == 1
     assert summary.mean_turnaround == 17.5
     assert summary.mean_price == 750.0
-    collector.cross_check(summary, ledger, {"acme": 10_000}, ["acme"])
+    collector.cross_check(events, summary, ledger, {"acme": 10_000}, ["acme"])
 
 
 def random_stream(rng):
@@ -201,24 +218,23 @@ def random_stream(rng):
     ledger = Ledger()
     ledger.fund("acme", 10_000_000, at=0)
     ledger.open_account("alpine")
-    events = []
+    log = []
 
-    def feed(at, kind, payload):
-        events.append((at, kind, dict(payload)))
-        collector.record(at, kind, payload)
+    def feed_one(at, kind, payload):
+        feed(collector, log, at, kind, payload)
 
     t = 0
     for n in range(1, rng.randint(5, 40)):
         t += rng.randint(0, 3)
         rid = f"req{n:06d}"
-        feed(t, "request_submitted", {
+        feed_one(t, "request_submitted", {
             "request_id": rid, "consumer": "acme",
             "volume": rng.randint(1, 50), "cpu_need": rng.randint(1, 4),
             "deadline": t + rng.randint(5, 60), "budget": rng.randint(100, 2_000),
         })
         fate = rng.random()
         if fate < 0.3:
-            feed(t, "admission", {
+            feed_one(t, "admission", {
                 "request_id": rid, "accepted": False,
                 "reason": rng.choice([
                     "BudgetInfeasible", "DeadlineInfeasible", "CapacityUnavailable",
@@ -226,38 +242,39 @@ def random_stream(rng):
             })
         elif fate < 0.85:
             price = rng.randint(50, 1_000)
-            feed(t, "admission", {
+            feed_one(t, "admission", {
                 "request_id": rid, "accepted": True,
                 "provider": "alpine", "price": price,
             })
             if rng.random() < 0.9:
                 done = t + rng.randint(1, 40)
-                feed(done, "settlement",
+                feed_one(done, "settlement",
                      {"sla_id": f"sla{n:06d}", "penalty": rng.randint(0, 30)})
                 ledger.transfer("acme", "alpine", price, at=done, memo=f"invoice {rid}")
-                feed(done, "request_served", {
+                feed_one(done, "request_served", {
                     "request_id": rid, "completed_at": done,
                     "lateness": rng.choice([0, 0, 0, 2, 5]),
                     "consumer_paid": price, "penalty_received": 0,
                 })
                 t = done
             else:
-                feed(t, "request_unserved", {"request_id": rid, "reason": "Expired"})
+                feed_one(t, "request_unserved", {"request_id": rid, "reason": "Expired"})
         if rng.random() < 0.3:
-            feed(t, "trade", {"quantity": rng.randint(1, 9),
+            feed_one(t, "trade", {"quantity": rng.randint(1, 9),
                               "price": rng.randint(1, 20)})
         if rng.random() < 0.2:
-            feed(t, "negotiation_outcome",
+            feed_one(t, "negotiation_outcome",
                  {"result": rng.choice(["agreement", "breakdown"])})
-    return collector, ledger, events
+    return collector, ledger, log
 
 
 def test_aggregates_match_offline_recomputation():
     # oracle: one flat pass over the captured event list, no collector involved
     for case in range(40):
         rng = random.Random(9_100 + case)
-        collector, ledger, events = random_stream(rng)
-        summary = summarize(collector, ledger,
+        collector, ledger, log = random_stream(rng)
+        events = [(ev.fire_at, ev.kind, ev.payload) for ev in log]
+        summary = summarize(collector, log, ledger,
                             initial_funds={"acme": 10_000_000},
                             providers=["alpine"], brokers=[], consumers=["acme"])
         assert summary.submitted == sum(
@@ -284,12 +301,12 @@ def test_aggregates_match_offline_recomputation():
                 if k == "request_served" and p["lateness"] > 0]
         assert summary.late == len(late)
         assert summary.total_lateness == sum(late)
-        collector.cross_check(summary, ledger, {"acme": 10_000_000}, ["acme"])
+        collector.cross_check(log, summary, ledger, {"acme": 10_000_000}, ["acme"])
 
 
 def test_serialization_is_reproducible():
-    _, _, first = small_summary()
-    _, _, second = small_summary()
+    *_, first = small_summary()
+    *_, second = small_summary()
     assert first.to_json() == second.to_json()
     assert report(first) == report(second)
     # and the json body survives a round trip with key order intact
@@ -301,7 +318,7 @@ def test_serialization_is_reproducible():
 
 
 def test_request_rows_are_sorted_and_complete():
-    collector, _, _ = small_summary()
+    collector, *_ = small_summary()
     rows = collector.request_rows()
     assert [r["request_id"] for r in rows] == ["req000001", "req000002"]
     assert all(list(r) == REQUEST_CSV_FIELDS for r in rows)
@@ -315,7 +332,7 @@ def test_request_rows_are_sorted_and_complete():
 
 
 def test_report_mentions_the_headline_numbers():
-    _, _, summary = small_summary()
+    *_, summary = small_summary()
     text = report(summary)
     submitted_line = next(l for l in text.splitlines() if "submitted" in l)
     assert submitted_line.split()[-1] == "2"
