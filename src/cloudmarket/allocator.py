@@ -19,11 +19,6 @@ REJECT_DEADLINE = "DeadlineInfeasible"
 REJECT_BUDGET = "BudgetInfeasible"
 REJECT_CAPACITY = "CapacityUnavailable"
 
-QUEUED = "Queued"
-EXECUTING = "Executing"
-COMPLETED = "Completed"
-FAILED = "Failed"
-
 
 class UnknownRequest(Exception):
     pass
@@ -34,7 +29,7 @@ class OverlappingInterval(Exception):
 
 
 class RequestNotFinished(Exception):
-    """finalize_charge before the request completed or failed."""
+    """finalize_charge before the request completed."""
 
 
 class AlreadyFinalized(Exception):
@@ -110,15 +105,6 @@ class PeakOffPeak:
     day_length: int
     kind: str = "peak_off_peak"
 
-    def __post_init__(self) -> None:
-        spans = sorted(self.peak_windows)
-        for (s1, e1), (s2, _e2) in zip(spans, spans[1:]):
-            if s2 < e1:
-                raise InvalidPolicy(f"peak windows overlap: [{s1},{e1}) and [{s2},..)")
-        for s, e in spans:
-            if not 0 <= s < e <= self.day_length:
-                raise InvalidPolicy(f"peak window [{s},{e}) outside day of {self.day_length}")
-
 
 @dataclass(frozen=True)
 class UtilizationLinear:
@@ -186,20 +172,10 @@ class MeterRecord:
 class Invoice:
     request_id: str
     amount: Money
-    agreed_price: Money
     line_items: tuple[tuple[int, int, int], ...]  # (start, end, cu_ticks)
     usage: int
     volume: int
-    complete: bool
     finalized_at: int
-
-
-@dataclass(frozen=True)
-class ProgressReport:
-    request_id: str
-    state: str
-    fraction_done: Fraction
-    expected_completion: int | None
 
 
 @dataclass
@@ -207,9 +183,7 @@ class _RequestTrack:
     request: ServiceRequest
     plan: AllocationPlan
     meters: list[MeterRecord] = field(default_factory=list)
-    exec_start: int | None = None
     completed_at: int | None = None
-    failed_at: int | None = None
 
 
 class SlaAllocator:
@@ -355,14 +329,8 @@ class SlaAllocator:
 
     # -- request lifecycle markers ------------------------------------------------
 
-    def mark_dispatched(self, request_id: str, exec_start: int) -> None:
-        self._track(request_id).exec_start = exec_start
-
     def mark_completed(self, request_id: str, at: int) -> None:
         self._track(request_id).completed_at = at
-
-    def mark_failed(self, request_id: str, at: int) -> None:
-        self._track(request_id).failed_at = at
 
     # -- metering --------------------------------------------------------------
 
@@ -383,50 +351,19 @@ class SlaAllocator:
         return sum(rec.usage for rec in self._track(request_id).meters)
 
     def finalize_charge(self, request_id: str, at: int) -> Invoice:
-        """Close the books: full price when done, pro-rata by usage otherwise."""
+        """Close the books of a completed request at its planned price."""
         track = self._track(request_id)
         if request_id in self.invoices:
             raise AlreadyFinalized(request_id)
-        if track.completed_at is None and track.failed_at is None:
+        if track.completed_at is None:
             raise RequestNotFinished(request_id)
-        used = self.usage(request_id)
-        complete = track.completed_at is not None
-        price = track.plan.price
-        if complete:
-            amount = price
-        else:
-            amount = round_half_up(
-                Fraction(price) * Fraction(min(used, track.request.workload_volume),
-                                           track.request.workload_volume)
-            )
         invoice = Invoice(
             request_id=request_id,
-            amount=amount,
-            agreed_price=price,
+            amount=track.plan.price,
             line_items=tuple((r.start, r.end, r.usage) for r in track.meters),
-            usage=used,
+            usage=self.usage(request_id),
             volume=track.request.workload_volume,
-            complete=complete,
             finalized_at=at,
         )
         self.invoices[request_id] = invoice
         return invoice
-
-    # -- monitoring ----------------------------------------------------------------
-
-    def progress(self, request_id: str, at: int) -> ProgressReport:
-        track = self._track(request_id)
-        plan = track.plan
-        if track.failed_at is not None and at >= track.failed_at:
-            done = Fraction(min(self.usage(request_id), track.request.workload_volume),
-                            track.request.workload_volume)
-            return ProgressReport(request_id, FAILED, done, None)
-        if track.completed_at is not None and at >= track.completed_at:
-            return ProgressReport(request_id, COMPLETED, Fraction(1), track.completed_at)
-        if track.exec_start is None or at < track.exec_start:
-            return ProgressReport(request_id, QUEUED, Fraction(0), plan.completion)
-        done = Fraction(
-            (at - track.exec_start) * track.request.qos.cpu_need,
-            track.request.workload_volume,
-        )
-        return ProgressReport(request_id, EXECUTING, min(done, Fraction(1)), plan.completion)

@@ -14,10 +14,6 @@ from fractions import Fraction
 from .engine import SimEngine
 from .money import ceil_div
 
-VM_STARTING = "Starting"
-VM_RUNNING = "Running"
-VM_STOPPED = "Stopped"
-
 
 class InsufficientCapacity(Exception):
     """No machine can host the requested entitlement."""
@@ -62,11 +58,6 @@ class Vm:
     ready_at: int
     stopped: bool = False
     assigned_request: str | None = None
-
-    def state_at(self, now: int) -> str:
-        if self.stopped:
-            return VM_STOPPED
-        return VM_RUNNING if now >= self.ready_at else VM_STARTING
 
 
 @dataclass(frozen=True)
@@ -199,12 +190,10 @@ class Datacenter:
         provider_id: str,
         machine_specs: list[tuple[str, int, int]],
         boot_delay: int = 0,
-        placement: str = "worst_fit",
     ):
         self.engine = engine
         self.provider_id = provider_id
         self.boot_delay = boot_delay
-        self.placement = placement
         self.machines: dict[str, PhysicalMachine] = {}
         self.calendars: dict[str, MachineCalendar] = {}
         for machine_id, cpu, mem in machine_specs:
@@ -244,22 +233,6 @@ class Datacenter:
                 free += (cal.cpu_capacity - used) * (hi - lo)
         return free
 
-    # -- placement ---------------------------------------------------------
-
-    def _choose_machine(self, cpu: int, mem: int) -> str | None:
-        feasible = [
-            m for m in self.machines.values()
-            if m.free_cpu >= cpu and m.free_mem >= mem
-        ]
-        if not feasible:
-            return None
-        if self.placement == "first_fit":
-            return sorted(feasible, key=lambda m: m.machine_id)[0].machine_id
-        if self.placement == "best_fit":
-            return min(feasible, key=lambda m: (m.free_cpu, m.machine_id)).machine_id
-        # worst-fit: largest free capacity spreads load
-        return min(feasible, key=lambda m: (-m.free_cpu, m.machine_id)).machine_id
-
     # -- lifecycle ---------------------------------------------------------
 
     def provision_vm(
@@ -267,16 +240,10 @@ class Datacenter:
         cpu_entitlement: int,
         mem_entitlement: int,
         at: int,
-        machine_id: str | None = None,
+        machine_id: str,
     ) -> str:
         if cpu_entitlement <= 0:
             raise InsufficientCapacity("entitlement must be positive")
-        if machine_id is None:
-            machine_id = self._choose_machine(cpu_entitlement, mem_entitlement)
-            if machine_id is None:
-                raise InsufficientCapacity(
-                    f"no machine has {cpu_entitlement} cu / {mem_entitlement} MB free"
-                )
         machine = self.machines[machine_id]
         if machine.free_cpu < cpu_entitlement or machine.free_mem < mem_entitlement:
             raise InsufficientCapacity(
@@ -354,29 +321,6 @@ class Datacenter:
         return request_id
 
     # -- monitoring ---------------------------------------------------------
-
-    def vm_monitor_snapshot(self, at: int) -> dict:
-        machines = {}
-        for machine_id in sorted(self.machines):
-            m = self.machines[machine_id]
-            machines[machine_id] = {
-                "cpu_capacity": m.cpu_capacity,
-                "mem_capacity": m.mem_capacity,
-                "free_cpu": m.free_cpu,
-                "free_mem": m.free_mem,
-                "hosted": sorted(m.hosted),
-            }
-        vms = {}
-        for vm_id in sorted(self.vms):
-            vm = self.vms[vm_id]
-            vms[vm_id] = {
-                "host": vm.host,
-                "cpu": vm.cpu_entitlement,
-                "mem": vm.mem_entitlement,
-                "state": vm.state_at(at),
-                "assigned_request": vm.assigned_request,
-            }
-        return {"snapshot_time": at, "machines": machines, "vms": vms}
 
     def check_capacity(self) -> None:
         for machine_id, m in self.machines.items():

@@ -12,9 +12,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from random import Random
-from typing import Any, Callable
+from typing import Callable
 import heapq
 
 SimTime = int
@@ -76,42 +75,29 @@ class RngStreams:
         """Next value of the named stream under a distribution spec.
 
         Supported kinds: constant, uniform, uniform_int, exponential,
-        choice (optionally weighted with rationals).
+        choice (optionally weighted).  Specs come from validated
+        scenarios (`workload._draw_spec`), so parameters are not
+        checked again here.
         """
         rng = self.get(stream_id)
-        if not isinstance(spec, dict) or "dist" not in spec:
-            raise InvalidDistribution(f"spec must carry a 'dist' key: {spec!r}")
         kind = spec["dist"]
         if kind == "constant":
             return spec["value"]
         if kind == "uniform":
             low, high = spec["low"], spec["high"]
-            if high < low:
-                raise InvalidDistribution("uniform: high < low")
             return low + (high - low) * rng.random()
         if kind == "uniform_int":
             low, high = spec["low"], spec["high"]
-            if high < low:
-                raise InvalidDistribution("uniform_int: high < low")
             span = high - low + 1
             return low + min(span - 1, int(rng.random() * span))
         if kind == "exponential":
-            rate = Fraction(spec["rate"]) if isinstance(spec["rate"], str) else spec["rate"]
-            if rate <= 0:
-                raise InvalidDistribution("exponential: rate must be > 0")
-            return -math.log(1.0 - rng.random()) / float(rate)
+            return -math.log(1.0 - rng.random()) / spec["rate"]
         if kind == "choice":
             values = spec["values"]
-            if not values:
-                raise InvalidDistribution("choice: empty values")
             weights = spec.get("weights")
             if weights is None:
                 return values[min(len(values) - 1, int(rng.random() * len(values)))]
-            if len(weights) != len(values):
-                raise InvalidDistribution("choice: weights/values length mismatch")
             total = sum(weights)
-            if total <= 0:
-                raise InvalidDistribution("choice: weights must sum > 0")
             u = rng.random() * total
             acc = 0.0
             for value, weight in zip(values, weights):
@@ -131,9 +117,8 @@ class SimEngine:
     there, because seq strictly increases in scheduling order.
     """
 
-    def __init__(self, master_seed: int = 0):
+    def __init__(self) -> None:
         self.clock: int = 0
-        self.streams = RngStreams(master_seed)
         self._queue: list[Event] = []
         self._next_seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
@@ -182,9 +167,6 @@ class SimEngine:
     @property
     def pending(self) -> int:
         return len(self._queue)
-
-    def draw(self, stream_id: str, spec: dict) -> float | int:
-        return self.streams.draw(stream_id, spec)
 
 
 class TraceRecorder:

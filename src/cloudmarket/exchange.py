@@ -9,7 +9,7 @@ no less than its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,10 +41,6 @@ class InvalidOrder(Exception):
     pass
 
 
-class UnknownOrder(Exception):
-    pass
-
-
 class InvalidPolicy(Exception):
     pass
 
@@ -69,16 +65,13 @@ class Listing:
     role: str
     capacity: int  # offered capacity (providers) or demand profile proxy
     price_hint: Money  # advisory price per cpu-tick
-    reliability_class: int = 0
-    security_class: int = 0
-    valid_until: int | None = None  # listing expires after this tick
 
 
 class MarketDirectory:
     """Registry participants consult to find each other.
 
     One live listing per participant; re-registering replaces it.
-    Queries never return expired listings and sort by participant_id.
+    Queries sort by participant_id.
     """
 
     def __init__(self) -> None:
@@ -99,34 +92,11 @@ class MarketDirectory:
             raise InvalidListing(f"no listing for {participant_id}")
         self.listings[participant_id].price_hint = price_hint
 
-    def deregister(self, participant_id: str) -> None:
-        if participant_id not in self.listings:
-            raise InvalidListing(f"no listing for {participant_id}")
-        del self.listings[participant_id]
-
-    def query(
-        self,
-        at: int,
-        role: str | None = None,
-        min_reliability: int | None = None,
-        min_security: int | None = None,
-        max_price_hint: Money | None = None,
-    ) -> list[Listing]:
-        hits = []
-        for participant_id in sorted(self.listings):
-            l = self.listings[participant_id]
-            if l.valid_until is not None and at > l.valid_until:
-                continue
-            if role is not None and l.role != role:
-                continue
-            if min_reliability is not None and l.reliability_class < min_reliability:
-                continue
-            if min_security is not None and l.security_class < min_security:
-                continue
-            if max_price_hint is not None and l.price_hint > max_price_hint:
-                continue
-            hits.append(l)
-        return hits
+    def query(self, role: str | None = None) -> list[Listing]:
+        return [
+            self.listings[participant_id] for participant_id in sorted(self.listings)
+            if role is None or self.listings[participant_id].role == role
+        ]
 
 
 # -- bank ledger --------------------------------------------------------------
@@ -212,7 +182,6 @@ class Order:
     expiry: int  # order leaves the book after this tick
     request_id: str | None = None
     filled: int = 0
-    cancelled: bool = False
 
     @property
     def remaining(self) -> int:
@@ -252,8 +221,7 @@ class ClearingResult:
 class OrderBook:
     """Collects limit orders; a clearing matches them per delivery window.
 
-    Unfilled remainders rest in the book until their expiry passes or
-    they are cancelled.
+    Unfilled remainders rest in the book until their expiry passes.
     """
 
     def __init__(self) -> None:
@@ -295,18 +263,6 @@ class OrderBook:
         self.orders[order.order_id] = order
         return order.order_id
 
-    def cancel(self, order_id: int) -> None:
-        order = self.orders.get(order_id)
-        if order is None:
-            raise UnknownOrder(order_id)
-        order.cancelled = True
-
-    def open_orders(self, at: int) -> list[Order]:
-        return [
-            o for o in self.orders.values()
-            if not o.cancelled and o.remaining > 0 and o.expiry > at
-        ]
-
     def clear(self, at: int, ledger: Ledger | None = None) -> ClearingResult:
         """Uniform-price call double auction over each delivery window.
 
@@ -318,7 +274,7 @@ class OrderBook:
         """
         live = [
             o for o in self.orders.values()
-            if not o.cancelled and o.remaining > 0 and o.expiry >= at
+            if o.remaining > 0 and o.expiry >= at
         ]
         trades: list[Trade] = []
         prices: dict[tuple[int, int], Money] = {}
@@ -373,19 +329,12 @@ class OrderBook:
         # expired and fully-filled orders no longer occupy the book
         self.orders = {
             oid: o for oid, o in self.orders.items()
-            if not o.cancelled and o.remaining > 0 and o.expiry > at
+            if o.remaining > 0 and o.expiry > at
         }
         return ClearingResult(at, trades, prices, bid_quantity, ask_quantity, unmatched)
 
 
 # -- provider-side market policy ---------------------------------------------------
-
-@dataclass(frozen=True)
-class FixedPrice:
-    base_rate: Money
-    cost_floor: Money = 0
-    kind: str = "fixed"
-
 
 @dataclass(frozen=True)
 class VariablePrice:
@@ -395,14 +344,10 @@ class VariablePrice:
     utilization_coefficient: Fraction
     demand_coefficient: Fraction
     cost_floor: Money = 0
-    kind: str = "variable"
-
-
-ProviderPricePolicy = FixedPrice | VariablePrice
 
 
 def provider_set_price(
-    policy: ProviderPricePolicy,
+    policy: VariablePrice,
     utilization: Fraction,
     demand_index: Fraction,
 ) -> Money:
@@ -416,34 +361,13 @@ def provider_set_price(
         raise InvalidPolicy(f"utilization {utilization} outside [0, 1]")
     if demand_index < 0:
         raise InvalidPolicy(f"demand_index {demand_index} must be >= 0")
-    if isinstance(policy, FixedPrice):
-        return max(policy.cost_floor, policy.base_rate)
-    if isinstance(policy, VariablePrice):
-        excess = max(Fraction(0), demand_index - 1)
-        exact = policy.base_rate * (
-            1
-            + policy.utilization_coefficient * utilization
-            + policy.demand_coefficient * excess
-        )
-        return max(policy.cost_floor, round_half_up(exact))
-    raise InvalidPolicy(f"unknown provider price policy {policy!r}")
-
-
-def provider_select_venues(
-    estimates: list[tuple[str, Money]],
-    max_venues: int | None = None,
-) -> list[str]:
-    """Venues worth attending: positive estimated utility, best first.
-
-    `max_venues` caps participation by the provider's uncommitted
-    capacity (one slot per venue).  Ties break by venue id.
-    """
-    profitable = [(utility, venue) for venue, utility in estimates if utility > 0]
-    profitable.sort(key=lambda pair: (-pair[0], pair[1]))
-    chosen = [venue for _, venue in profitable]
-    if max_venues is not None:
-        chosen = chosen[:max(0, max_venues)]
-    return chosen
+    excess = max(Fraction(0), demand_index - 1)
+    exact = policy.base_rate * (
+        1
+        + policy.utilization_coefficient * utilization
+        + policy.demand_coefficient * excess
+    )
+    return max(policy.cost_floor, round_half_up(exact))
 
 
 # -- broker policy -----------------------------------------------------------------
@@ -619,18 +543,10 @@ class ReservationBook:
         cpu: int,
         mem: int,
         backing_sla: str,
-        machine_id: str | None = None,
+        machine_id: str,
     ) -> Reservation:
         if not backing_sla:
             raise ReservationConflict("a reservation must name its backing SLA")
-        if machine_id is None:
-            slot = self.find_slot(datacenter, start, start, end - start, cpu, mem)
-            if slot is None:
-                raise ReservationConflict(
-                    f"{datacenter.provider_id}: no machine free for "
-                    f"[{start}, {end}) x {cpu} cu"
-                )
-            machine_id = slot[0]
         cal = datacenter.calendars[machine_id]
         if not cal.fits(start, end - start, cpu, mem):
             raise ReservationConflict(f"{machine_id} cannot hold [{start}, {end})")
@@ -660,9 +576,8 @@ def settle_sla(
     sla: Sla,
     actual_completion: int,
     at: int,
-    amount_override: Money | None = None,
 ) -> Settlement:
-    """Move money for a finished (or abandoned) SLA, once.
+    """Move money for a finished SLA, once.
 
     The buyer pays the full price; lateness then refunds the penalty
     schedule back, capped so the seller never pays out more than it was
@@ -671,7 +586,7 @@ def settle_sla(
     """
     if sla.settled:
         raise AlreadySettled(sla.sla_id)
-    base = sla.price if amount_override is None else amount_override
+    base = sla.price
     ticks_late = max(0, actual_completion - sla.promised_completion)
     penalty = min(sla.penalty.penalty_for(ticks_late), base)
     if not sla.paid and base > 0:

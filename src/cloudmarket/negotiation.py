@@ -30,26 +30,17 @@ class SessionTerminated(Exception):
     """step() after the session already reached an outcome."""
 
 
-class AlreadyDispatched(Exception):
-    """Renegotiation is only allowed before execution starts."""
-
-
 @dataclass(frozen=True)
 class ConcessionSchedule:
     """Maps round progress p in [0, 1] to concession fraction f(p).
 
     Linear concedes evenly; poly with exponent > 1 holds firm early and
-    concedes late.  Integer exponents keep the arithmetic exact.
+    concedes late.  Integer exponents keep the arithmetic exact; the
+    scenario's schedules are checked by `workload.validate_scenario`.
     """
 
     kind: str = "linear"
     exponent: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("linear", "poly"):
-            raise InvalidTerms(f"unknown concession schedule {self.kind!r}")
-        if self.kind == "poly" and (not isinstance(self.exponent, int) or self.exponent < 1):
-            raise InvalidTerms("poly exponent must be an integer >= 1")
 
     def fraction(self, progress: Fraction) -> Fraction:
         if self.kind == "linear":
@@ -260,8 +251,7 @@ class Sla:
 
     `paid` marks agreements whose price moved at formation time (auction
     clearing settles immediately); settlement then only assesses the
-    penalty side.  `dispatched` is set when execution starts and closes
-    the renegotiation window.
+    penalty side.
     """
 
     sla_id: str
@@ -271,50 +261,6 @@ class Sla:
     price: Money
     promised_completion: int
     penalty: PenaltySchedule
-    capacity: int = 0
-    window: tuple[int, int] | None = None
     paid: bool = False
     settled: bool = False
-    superseded: bool = False
-    dispatched: bool = False
-    reservation_id: str | None = None
 
-
-def renegotiate(
-    sla: Sla,
-    buyer: NegotiationTerms,
-    seller: NegotiationTerms,
-    sla_id: str,
-    first_mover: str = BUYER,
-    engine: SimEngine | None = None,
-) -> tuple[Outcome, Sla | None]:
-    """Reopen the price before execution starts.
-
-    On agreement the old SLA is marked superseded and a replacement with
-    the new price is returned; on break-off the old SLA stands untouched
-    (the second element is None).
-    """
-    if sla.dispatched:
-        raise AlreadyDispatched(f"{sla.sla_id} already started executing")
-    if sla.settled or sla.superseded:
-        raise AlreadyDispatched(f"{sla.sla_id} is no longer open")
-    outcome = negotiate_price(
-        buyer, seller, first_mover, engine, session_id=f"renego-{sla.sla_id}"
-    )
-    if isinstance(outcome, BrokeOff):
-        return outcome, None
-    sla.superseded = True
-    replacement = Sla(
-        sla_id=sla_id,
-        buyer=sla.buyer,
-        seller=sla.seller,
-        request_id=sla.request_id,
-        price=outcome.price,
-        promised_completion=sla.promised_completion,
-        penalty=sla.penalty,
-        capacity=sla.capacity,
-        window=sla.window,
-        paid=sla.paid,
-        reservation_id=sla.reservation_id,
-    )
-    return outcome, replacement

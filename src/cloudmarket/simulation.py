@@ -33,8 +33,6 @@ from .exchange import (
     MarketView,
     OrderBook,
     ReservationBook,
-    ROLE_BROKER,
-    ROLE_CONSUMER,
     ROLE_PROVIDER,
     VariablePrice,
     broker_decide,
@@ -60,6 +58,7 @@ from .workload import (
     Scenario,
     dump_scenario,
     generate_requests,
+    proxy_select_brokers,
 )
 
 UNSERVED_DEADLINE_EXPIRED = "DeadlineExpired"
@@ -103,8 +102,6 @@ class _Commitment:
     sla_procure: Sla | None
     machine_id: str
     vm_start: int
-    vm_id: str | None = None
-    exec_start: int | None = None
 
 
 @dataclass
@@ -128,7 +125,7 @@ class _Run:
         self.scenario = scenario
         self.seed = seed
         self.mode = mode
-        self.engine = SimEngine(master_seed=seed)
+        self.engine = SimEngine()
         self.trace = TraceRecorder()
         self.collector = MetricsCollector()
         self.engine.add_observer(self.trace)
@@ -194,18 +191,6 @@ class _Run:
                 role=ROLE_PROVIDER,
                 capacity=prov.datacenter.total_cpu_capacity,
                 price_hint=prov.posted_price,
-                reliability_class=prov.spec.reliability_class,
-                security_class=prov.spec.security_class,
-            ))
-        for b in scenario.brokers:
-            self.directory.register(Listing(
-                participant_id=b.broker_id, role=ROLE_BROKER,
-                capacity=0, price_hint=0,
-            ))
-        for c in scenario.consumers:
-            self.directory.register(Listing(
-                participant_id=c.consumer_id, role=ROLE_CONSUMER,
-                capacity=0, price_hint=0,
             ))
 
     # -- money helpers -----------------------------------------------------------
@@ -257,8 +242,7 @@ class _Run:
             (b.broker_id, round_half_up(b.margin_rate * 10**6))
             for b in self.scenario.brokers
         ]
-        proxy = self.proxies[request.consumer_id]
-        chosen = proxy.select_brokers(hints, spec.top_k)
+        chosen = proxy_select_brokers(hints, spec.top_k)
         index = int(request.request_id[3:])
         return chosen[index % len(chosen)]
 
@@ -319,16 +303,9 @@ class _Run:
             request.qos.cpu_need, request.qos.mem_need, now,
             machine_id=commit.machine_id,
         )
-        commit.vm_id = vm_id
         prov.datacenter.dispatch(
             request.request_id, vm_id, now, request.workload_volume,
         )
-        exec_start = max(now, prov.datacenter.vms[vm_id].ready_at)
-        commit.exec_start = exec_start
-        prov.allocator.mark_dispatched(request.request_id, exec_start)
-        commit.sla_consumer.dispatched = True
-        if commit.sla_procure is not None:
-            commit.sla_procure.dispatched = True
 
     def mark_unserved(self, request_id: str, reason: str) -> None:
         request = self.requests_by_id[request_id]
@@ -423,8 +400,6 @@ class _BaselineRun(_Run):
                     price=plan.price,
                     promised_completion=request.qos.deadline,
                     penalty=self.penalty,
-                    capacity=request.qos.cpu_need,
-                    window=(plan.vm_start, plan.completion),
                 )
                 self.committed[request.request_id] = _Commitment(
                     request, provider_id, None, sla, None,
@@ -546,7 +521,7 @@ class _MarketRun(_Run):
                 expected_penalty=0,
                 margin=margin,
             ))
-        listings = self.directory.query(now, role=ROLE_PROVIDER)
+        listings = self.directory.query(role=ROLE_PROVIDER)
         chosen: dict[str, BrokerAction] = {}
         for broker_id in sorted(by_broker):
             view = MarketView(
@@ -671,10 +646,7 @@ class _MarketRun(_Run):
             price=paid_amount,
             promised_completion=end,
             penalty=self.penalty,
-            capacity=request.qos.cpu_need,
-            window=(start, end),
             paid=prepaid,
-            reservation_id=reservation.reservation_id,
         )
         if not prepaid:
             self.broker_committed[broker_id] += paid_amount
@@ -689,8 +661,6 @@ class _MarketRun(_Run):
             price=consumer_price,
             promised_completion=request.qos.deadline,
             penalty=self.penalty,
-            capacity=request.qos.cpu_need,
-            window=(start, end),
         )
         decision = prov.allocator.examine(
             request, now,

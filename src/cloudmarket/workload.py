@@ -96,7 +96,8 @@ _DIST_PARAMS = {
 }
 
 
-def _validate_dist(value, path: str, kinds: set[str]) -> dict:
+def _validate_dist(value, path: str, kinds: set[str], minimum: int | None = None) -> dict:
+    """Check a distribution config; `minimum` bounds every value it can draw."""
     mapping = _as_mapping(value, path)
     kind = mapping.get("kind")
     if kind not in kinds:
@@ -126,14 +127,24 @@ def _validate_dist(value, path: str, kinds: set[str]) -> dict:
         values = _as_list(mapping["values"], f"{path}.values")
         if not values:
             raise ValidationError("values must be non-empty", f"{path}.values")
-        out["values"] = [_as_int(v, f"{path}.values[{i}]") for i, v in enumerate(values)]
+        out["values"] = [
+            _as_int(v, f"{path}.values[{i}]", minimum=minimum) for i, v in enumerate(values)
+        ]
         if "weights" in mapping:
             weights = _as_list(mapping["weights"], f"{path}.weights")
             if len(weights) != len(values):
                 raise ValidationError("weights must match values", f"{path}.weights")
-            out["weights"] = [
-                _as_rational(w, f"{path}.weights[{i}]") for i, w in enumerate(weights)
-            ]
+            out["weights"] = []
+            for i, w in enumerate(weights):
+                weight = _as_rational(w, f"{path}.weights[{i}]")
+                if weight < 0:
+                    raise ValidationError(f"must be >= 0, got {w!r}", f"{path}.weights[{i}]")
+                out["weights"].append(weight)
+            if sum(out["weights"]) == 0:
+                raise ValidationError("weights must not all be zero", f"{path}.weights")
+    for key in ("value", "low"):
+        if minimum is not None and key in out and out[key] < minimum:
+            raise ValidationError(f"must be >= {minimum}, got {out[key]}", f"{path}.{key}")
     return out
 
 
@@ -411,6 +422,8 @@ def validate_scenario(raw, source: str = "<scenario>") -> Scenario:
             initial_funds=_as_int(bmap["initial_funds"], f"{bpath}.initial_funds", minimum=0),
             margin_rate=_as_rational(bmap.get("margin_rate", 0), f"{bpath}.margin_rate"),
         ))
+    if not brokers:
+        raise ValidationError("at least one broker is required", "brokers")
 
     consumers = []
     for i, c in enumerate(_as_list(root["consumers"], "consumers")):
@@ -469,11 +482,15 @@ def validate_scenario(raw, source: str = "<scenario>") -> Scenario:
                    else _as_int(wmap["count"], f"{wpath}.count", minimum=0)),
             volume=_validate_dist(wmap["volume"], f"{wpath}.volume", {"constant", "uniform_int", "choice"}),
             cpu_need=_validate_dist(wmap["cpu_need"], f"{wpath}.cpu_need", {"constant", "uniform_int", "choice"}),
-            mem_need=_validate_dist(wmap["mem_need"], f"{wpath}.mem_need", {"constant", "uniform_int", "choice"}),
+            mem_need=_validate_dist(wmap["mem_need"], f"{wpath}.mem_need", {"constant", "uniform_int", "choice"}, minimum=0),
             deadline_slack=_validate_dist(wmap["deadline_slack"], f"{wpath}.deadline_slack", {"constant", "uniform", "choice"}),
-            budget_factor=_validate_dist(wmap["budget_factor"], f"{wpath}.budget_factor", {"constant", "uniform", "choice"}),
+            budget_factor=_validate_dist(wmap["budget_factor"], f"{wpath}.budget_factor", {"constant", "uniform", "choice"}, minimum=0),
             reference_rate=_as_rational(wmap["reference_rate"], f"{wpath}.reference_rate"),
         )
+        if workload.reference_rate < 0:
+            raise ValidationError(
+                f"must be >= 0, got {wmap['reference_rate']!r}", f"{wpath}.reference_rate"
+            )
 
     npath = "negotiation"
     nmap = _as_mapping(root["negotiation"], npath)
@@ -715,26 +732,19 @@ def generate_requests(scenario: Scenario, master_seed: int) -> list[ServiceReque
 
 def proxy_select_brokers(hints: list[tuple[str, Money]], k: int) -> list[str]:
     """Pick the k cheapest brokers by advertised price, ties by id."""
-    if k <= 0:
-        return []
     ranked = sorted(hints, key=lambda pair: (pair[1], pair[0]))
     return [broker_id for broker_id, _ in ranked[:k]]
 
 
-class NoBrokerAvailable(Exception):
-    pass
-
-
 @dataclass
 class ConsumerProxy:
-    """Consumer-side agent: routes requests to brokers it can afford.
+    """Consumer-side agent: the budgets its in-flight requests committed.
 
-    Tracks money already committed to in-flight requests so concurrent
-    submissions cannot overspend a shared budget constraint.
+    The consumer's account is topped up to cover what is committed, so
+    every accepted request can be paid for.
     """
 
     consumer_id: str
-    budget_constraint: Money | None = None
     outstanding: dict[str, Money] = field(default_factory=dict)
 
     @property
@@ -746,15 +756,3 @@ class ConsumerProxy:
 
     def resolve(self, request_id: str) -> None:
         self.outstanding.pop(request_id, None)
-
-    def select_brokers(self, hints: list[tuple[str, Money]], k: int) -> list[str]:
-        affordable = hints
-        if self.budget_constraint is not None:
-            ceiling = self.budget_constraint - self.committed
-            affordable = [(b, p) for b, p in hints if p <= ceiling]
-        chosen = proxy_select_brokers(affordable, k)
-        if not chosen:
-            raise NoBrokerAvailable(
-                f"{self.consumer_id}: no broker within budget from {len(hints)} hint(s)"
-            )
-        return chosen

@@ -47,6 +47,26 @@ def test_invalid_field_exits_three_and_names_it(tmp_path, capsys):
     assert "cpu_capacity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["run", "compare"])
+@pytest.mark.parametrize("section, key, value, path", [
+    (None, "brokers", [], "brokers"),
+    ("workload", "cpu_need", {"kind": "choice", "values": [1, 2, 4], "weights": [0, 0, 0]},
+     "workload.cpu_need.weights"),
+    ("workload", "mem_need", {"kind": "constant", "value": -5}, "workload.mem_need.value"),
+], ids=["no-brokers", "zero-weights", "negative-mem"])
+def test_unrunnable_scenario_exits_three_before_any_run(
+    tmp_path, capsys, mode, section, key, value, path,
+):
+    raw = yaml.safe_load(Path(SMOKE).read_text(encoding="utf-8"))
+    (raw if section is None else raw[section])[key] = value
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--scenario", str(broken), "--out", str(out), "--mode", mode]) == 3
+    assert f"{path}:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bad_flag_exits_two(capsys):
     assert main(["--scenario", SMOKE, "--mode", "interpretive_dance"]) == 2
     capsys.readouterr()

@@ -18,11 +18,11 @@ from cloudmarket.datacenter import (
 from cloudmarket.engine import SimEngine, TraceRecorder
 
 
-def make_dc(specs, boot_delay=0, placement="worst_fit"):
+def make_dc(specs, boot_delay=0):
     engine = SimEngine()
     recorder = TraceRecorder()
     engine.add_observer(recorder)
-    dc = Datacenter(engine, "prov", specs, boot_delay=boot_delay, placement=placement)
+    dc = Datacenter(engine, "prov", specs, boot_delay=boot_delay)
     return engine, recorder, dc
 
 
@@ -31,62 +31,27 @@ def test_fresh_datacenter_is_idle():
     assert dc.total_cpu_capacity == 12
     assert dc.committed_cpu_at(0) == 0
     assert not dc.vms
-    snap = dc.vm_monitor_snapshot(0)
-    assert snap["machines"]["m1"]["free_cpu"] == 4
-    assert snap["vms"] == {}
+    assert dc.machines["m1"].free_cpu == 4
+    assert not dc.machines["m1"].hosted
 
 
 def test_single_machine_placement():
     _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(1, 4, at=0)
+    vm_id = dc.provision_vm(1, 4, at=0, machine_id="m1")
     assert dc.vms[vm_id].host == "m1"
     assert dc.machines["m1"].free_cpu == 3
 
 
-def test_worst_fit_prefers_the_emptiest_machine():
-    # free cpu (2, 3, 1): a 2-cu VM must land on the 3-cu machine
-    _, _, dc = make_dc([("m1", 4, 64), ("m2", 4, 64), ("m3", 4, 64)])
-    dc.provision_vm(2, 1, at=0, machine_id="m1")
-    dc.provision_vm(1, 1, at=0, machine_id="m2")
-    dc.provision_vm(3, 1, at=0, machine_id="m3")
-    assert [dc.machines[m].free_cpu for m in ("m1", "m2", "m3")] == [2, 3, 1]
-    vm_id = dc.provision_vm(2, 1, at=0)
-    assert dc.vms[vm_id].host == "m2"
-
-
-def test_placement_is_exhaustive():
-    # the chosen machine always matches direct enumeration of feasible hosts
-    rng = random.Random(41)
-    for _ in range(200):
-        spec = [(f"m{i}", rng.randint(1, 8), rng.randint(4, 32)) for i in range(4)]
-        _, _, dc = make_dc(spec)
-        for _ in range(rng.randint(0, 6)):
-            cpu = rng.randint(1, 4)
-            mem = rng.randint(1, 8)
-            feasible = [
-                m for m in dc.machines.values()
-                if m.free_cpu >= cpu and m.free_mem >= mem
-            ]
-            if not feasible:
-                with pytest.raises(InsufficientCapacity):
-                    dc.provision_vm(cpu, mem, at=0)
-                continue
-            # worst-fit: most free cpu, ties broken by machine id
-            expected = min(feasible, key=lambda m: (-m.free_cpu, m.machine_id))
-            vm_id = dc.provision_vm(cpu, mem, at=0)
-            assert dc.vms[vm_id].host == expected.machine_id
-
-
 def test_full_fleet_refuses_more_vms():
     _, _, dc = make_dc([("m1", 2, 8)])
-    dc.provision_vm(2, 8, at=0)
+    dc.provision_vm(2, 8, at=0, machine_id="m1")
     with pytest.raises(InsufficientCapacity):
-        dc.provision_vm(1, 1, at=0)
+        dc.provision_vm(1, 1, at=0, machine_id="m1")
 
 
 def test_release_returns_all_capacity():
     _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 16, at=0)
+    vm_id = dc.provision_vm(4, 16, at=0, machine_id="m1")
     freed = dc.release_vm(vm_id, at=5)
     assert freed == (4, 16)
     assert dc.machines["m1"].free_cpu == 4
@@ -95,9 +60,9 @@ def test_release_returns_all_capacity():
 
 def test_release_then_equal_provision_same_tick():
     _, _, dc = make_dc([("m1", 4, 16)])
-    first = dc.provision_vm(4, 16, at=0)
+    first = dc.provision_vm(4, 16, at=0, machine_id="m1")
     dc.release_vm(first, at=3)
-    second = dc.provision_vm(4, 16, at=3)
+    second = dc.provision_vm(4, 16, at=3, machine_id="m1")
     assert second != first
     assert dc.machines["m1"].free_cpu == 0
 
@@ -110,24 +75,25 @@ def test_release_unknown_vm():
 
 def test_double_release_is_refused():
     _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(1, 1, at=0)
+    vm_id = dc.provision_vm(1, 1, at=0, machine_id="m1")
     dc.release_vm(vm_id, at=1)
     with pytest.raises(AlreadyStopped):
         dc.release_vm(vm_id, at=2)
 
 
 def test_boot_delay_gates_vm_state():
-    engine, _, dc = make_dc([("m1", 4, 16)], boot_delay=3)
-    vm_id = dc.provision_vm(1, 1, at=10)
-    vm = dc.vms[vm_id]
-    assert vm.ready_at == 13
-    assert vm.state_at(12) == "Starting"
-    assert vm.state_at(13) == "Running"
+    engine, recorder, dc = make_dc([("m1", 4, 16)], boot_delay=3)
+    engine.run_until(10)
+    vm_id = dc.provision_vm(1, 1, at=10, machine_id="m1")
+    assert dc.vms[vm_id].ready_at == 13
+    engine.drain()
+    booted = [ev for ev in recorder.events if ev.kind == "vm_booted"]
+    assert [(ev.fire_at, ev.payload["vm_id"]) for ev in booted] == [(13, vm_id)]
 
 
 def test_snapshot_matches_independent_trace_replay():
     # oracle: reduce the event trace with separate bookkeeping, then
-    # compare against the live snapshot
+    # compare against the live machines and VMs
     engine, recorder, dc = make_dc(
         [("m1", 4, 16), ("m2", 8, 32)], boot_delay=2
     )
@@ -138,10 +104,12 @@ def test_snapshot_matches_independent_trace_replay():
         engine.run_until(at)
         if rng.random() < 0.5:
             cpu, mem = rng.randint(1, 3), rng.randint(1, 8)
+            machine_id = rng.choice(["m1", "m2"])
             try:
-                live.append(dc.provision_vm(cpu, mem, at=at))
+                live.append(dc.provision_vm(cpu, mem, at=at, machine_id=machine_id))
             except InsufficientCapacity:
-                pass
+                m = dc.machines[machine_id]
+                assert m.free_cpu < cpu or m.free_mem < mem
         elif live and rng.random() < 0.7:
             victim = live.pop(rng.randrange(len(live)))
             dc.release_vm(victim, at=at)
@@ -176,21 +144,29 @@ def test_snapshot_matches_independent_trace_replay():
             machines[p["machine"]]["hosted"].discard(p["vm_id"])
             vms[p["vm_id"]]["state"] = "Stopped"
 
-    snap = dc.vm_monitor_snapshot(now)
     for machine_id, reduced in machines.items():
-        got = snap["machines"][machine_id]
-        assert got["free_cpu"] == reduced["free_cpu"]
-        assert got["free_mem"] == reduced["free_mem"]
-        assert set(got["hosted"]) == reduced["hosted"]
-    assert {v: d["state"] for v, d in snap["vms"].items()} == {
+        got = dc.machines[machine_id]
+        assert got.free_cpu == reduced["free_cpu"]
+        assert got.free_mem == reduced["free_mem"]
+        assert got.hosted == reduced["hosted"]
+
+    def state(vm):
+        if vm.stopped:
+            return "Stopped"
+        return "Running" if now >= vm.ready_at else "Starting"
+
+    assert {v: state(vm) for v, vm in dc.vms.items()} == {
         v: d["state"] for v, d in vms.items()
+    }
+    assert {v: (vm.host, vm.cpu_entitlement, vm.mem_entitlement) for v, vm in dc.vms.items()} == {
+        v: (d["host"], d["cpu"], d["mem"]) for v, d in vms.items()
     }
 
 
 def test_dispatch_completion_arithmetic():
     # 100 cu-ticks on a 4-cu VM from t=10 finishes at t=35
     engine, recorder, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 1, at=10)
+    vm_id = dc.provision_vm(4, 1, at=10, machine_id="m1")
     dc.dispatch("req000001", vm_id, at=10, workload_volume=100)
     engine.drain()
     completion = [ev for ev in recorder.events if ev.kind == "completion"][0]
@@ -200,7 +176,7 @@ def test_dispatch_completion_arithmetic():
 def test_dispatch_rounds_partial_ticks_up():
     # 10 cu-ticks on 4 cu takes ceil(2.5) = 3 ticks
     engine, recorder, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 1, at=0)
+    vm_id = dc.provision_vm(4, 1, at=0, machine_id="m1")
     dc.dispatch("req000001", vm_id, at=0, workload_volume=10)
     engine.drain()
     assert [ev for ev in recorder.events if ev.kind == "completion"][0].fire_at == 3
@@ -208,7 +184,7 @@ def test_dispatch_rounds_partial_ticks_up():
 
 def test_dispatch_waits_for_boot():
     engine, recorder, dc = make_dc([("m1", 4, 16)], boot_delay=5)
-    vm_id = dc.provision_vm(4, 1, at=0)
+    vm_id = dc.provision_vm(4, 1, at=0, machine_id="m1")
     dc.dispatch("req000001", vm_id, at=0, workload_volume=4)
     engine.drain()
     assert [ev for ev in recorder.events if ev.kind == "dispatch"][0].payload["start"] == 5
@@ -217,7 +193,7 @@ def test_dispatch_waits_for_boot():
 
 def test_dispatch_to_busy_vm():
     _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 1, at=0)
+    vm_id = dc.provision_vm(4, 1, at=0, machine_id="m1")
     dc.dispatch("req000001", vm_id, at=0, workload_volume=40)
     with pytest.raises(VmBusy):
         dc.dispatch("req000002", vm_id, at=1, workload_volume=4)
@@ -225,7 +201,7 @@ def test_dispatch_to_busy_vm():
 
 def test_finish_execution_frees_the_vm_for_reuse():
     _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 1, at=0)
+    vm_id = dc.provision_vm(4, 1, at=0, machine_id="m1")
     dc.dispatch("req000001", vm_id, at=0, workload_volume=4)
     assert dc.finish_execution(vm_id) == "req000001"
     dc.dispatch("req000002", vm_id, at=2, workload_volume=4)

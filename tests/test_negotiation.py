@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cloudmarket.negotiation import (
     Agreement,
-    AlreadyDispatched,
     BrokeOff,
     BUYER,
     ConcessionSchedule,
@@ -17,10 +16,8 @@ from cloudmarket.negotiation import (
     PenaltySchedule,
     SELLER,
     SessionTerminated,
-    Sla,
     negotiate_price,
     open_session,
-    renegotiate,
 )
 
 
@@ -215,52 +212,3 @@ def test_early_completion_carries_no_penalty():
     schedule = PenaltySchedule(rate=Fraction(20))
     assert schedule.penalty_for(-3) == 0
 
-
-def make_sla(**overrides):
-    fields = dict(
-        sla_id="sla000001", buyer="broker-a", seller="alpine",
-        request_id="req000001", price=9_000, promised_completion=50,
-        penalty=PenaltySchedule(rate=Fraction(10)),
-    )
-    fields.update(overrides)
-    return Sla(**fields)
-
-
-def test_identity_renegotiation_keeps_the_price():
-    sla = make_sla()
-    outcome, replacement = renegotiate(
-        sla,
-        buyer_terms(9_000, 9_000, 3),
-        seller_terms(9_000, 9_000, 3),
-        sla_id="sla000002",
-    )
-    assert isinstance(outcome, Agreement)
-    assert replacement is not None
-    assert replacement.price == sla.price == 9_000
-    assert replacement.sla_id == "sla000002"
-    assert sla.superseded
-
-
-def test_failed_renegotiation_keeps_the_old_sla():
-    sla = make_sla()
-    outcome, replacement = renegotiate(
-        sla,
-        buyer_terms(1_000, 5_000, 3),  # now below the seller's floor
-        seller_terms(12_000, 8_000, 3),
-        sla_id="sla000002",
-    )
-    assert isinstance(outcome, BrokeOff)
-    assert replacement is None
-    assert not sla.superseded
-    assert not sla.settled
-
-
-def test_renegotiation_closes_at_dispatch():
-    sla = make_sla(dispatched=True)
-    with pytest.raises(AlreadyDispatched):
-        renegotiate(
-            sla,
-            buyer_terms(9_000, 9_000, 3),
-            seller_terms(9_000, 9_000, 3),
-            sla_id="sla000002",
-        )

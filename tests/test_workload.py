@@ -6,8 +6,6 @@ import math
 import pytest
 
 from cloudmarket.workload import (
-    ConsumerProxy,
-    NoBrokerAvailable,
     ParseError,
     ValidationError,
     dump_scenario,
@@ -118,6 +116,76 @@ def test_peak_windows_must_fit_the_day():
     }
     with pytest.raises(ValidationError):
         validate_scenario(raw)
+
+
+def test_overlapping_peak_windows_are_invalid():
+    raw = minimal_raw()
+    raw["providers"][0]["pricing"] = {
+        "kind": "peak_off_peak", "rate": 1, "peak_multiplier": 2,
+        "peak_windows": [[0, 50], [40, 60]], "day_length": 100,
+    }
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == "providers[0].pricing.peak_windows"
+
+
+def test_poisson_arrival_with_zero_rate_is_invalid():
+    raw = minimal_raw()
+    raw["workload"]["arrival"] = {"kind": "poisson", "rate": 0}
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == "workload.arrival.rate"
+
+
+def test_zero_brokers_are_refused():
+    raw = minimal_raw()
+    raw["brokers"] = []
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == "brokers"
+
+
+@pytest.mark.parametrize("weights, path", [
+    ([0, 0, 0], "workload.cpu_need.weights"),
+    ([1, -1, 0], "workload.cpu_need.weights[1]"),
+    ([3, -1, 0], "workload.cpu_need.weights[1]"),
+])
+def test_choice_weights_must_be_non_negative_and_not_all_zero(weights, path):
+    raw = minimal_raw()
+    raw["workload"]["cpu_need"] = {"kind": "choice", "values": [1, 2, 4], "weights": weights}
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == path
+
+
+@pytest.mark.parametrize("dist, path", [
+    ({"kind": "constant", "value": -5}, "workload.mem_need.value"),
+    ({"kind": "uniform_int", "low": -2, "high": 4}, "workload.mem_need.low"),
+    ({"kind": "choice", "values": [2, -1]}, "workload.mem_need.values[1]"),
+])
+def test_negative_mem_need_is_refused(dist, path):
+    # trace requests already require mem_need >= 0
+    raw = minimal_raw()
+    raw["workload"]["mem_need"] = dist
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == path
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("budget_factor", {"kind": "constant", "value": -1}, "workload.budget_factor.value"),
+    ("budget_factor", {"kind": "uniform", "low": -4, "high": -2}, "workload.budget_factor.low"),
+    ("budget_factor", {"kind": "choice", "values": [1, -3]}, "workload.budget_factor.values[1]"),
+    ("reference_rate", -4, "workload.reference_rate"),
+])
+def test_negative_budget_factor_is_refused(key, value, path):
+    # a generated budget is factor x reference rate x volume; trace
+    # requests already require budget >= 0
+    raw = minimal_raw()
+    raw["workload"][key] = value
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == path
 
 
 def test_round_trip_is_identity():
@@ -262,18 +330,3 @@ def test_price_ties_break_by_id():
     hints = [("broker-b", 7), ("broker-a", 7)]
     assert proxy_select_brokers(hints, k=1) == ["broker-a"]
 
-
-def test_budget_constraint_can_exclude_every_broker():
-    proxy = ConsumerProxy("acme", budget_constraint=5)
-    with pytest.raises(NoBrokerAvailable):
-        proxy.select_brokers([("broker-a", 9), ("broker-b", 7)], k=1)
-
-
-def test_committed_spend_erodes_the_ceiling():
-    proxy = ConsumerProxy("acme", budget_constraint=20)
-    assert proxy.select_brokers([("broker-a", 9)], k=1) == ["broker-a"]
-    proxy.commit("req000001", 15)
-    with pytest.raises(NoBrokerAvailable):
-        proxy.select_brokers([("broker-a", 9)], k=1)
-    proxy.resolve("req000001")
-    assert proxy.select_brokers([("broker-a", 9)], k=1) == ["broker-a"]
