@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Callable
 import heapq
@@ -31,17 +31,21 @@ class InvalidDistribution(Exception):
     """Malformed or degenerate distribution spec."""
 
 
-@dataclass(order=True)
+@dataclass(slots=True)
 class Event:
     fire_at: int
     seq: int
-    kind: str = field(compare=False)
-    payload: dict = field(compare=False)
+    kind: str
+    payload: dict
+
+
+# built once; every trace digest depends on exactly these settings
+_PAYLOAD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
 
 
 def payload_digest(payload: dict) -> str:
     """Stable short digest of an event payload for the trace file."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    blob = _PAYLOAD_ENCODER.encode(payload)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -119,7 +123,7 @@ class SimEngine:
 
     def __init__(self) -> None:
         self.clock: int = 0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[int, int, Event]] = []  # (fire_at, seq, event)
         self._next_seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self._observers: list[Callable[[Event], None]] = []
@@ -137,10 +141,11 @@ class SimEngine:
     def schedule(self, kind: str, payload: dict | None = None, fire_at: int = 0) -> int:
         if fire_at < self.clock:
             raise SchedulingInPast(f"fire_at={fire_at} < clock={self.clock}")
-        event = Event(fire_at, self._next_seq, kind, payload or {})
-        self._next_seq += 1
-        heapq.heappush(self._queue, event)
-        return event.seq
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        # seq is unique, so the heap never compares two events
+        heapq.heappush(self._queue, (fire_at, seq, Event(fire_at, seq, kind, payload or {})))
+        return seq
 
     def emit(self, kind: str, payload: dict | None = None) -> int:
         """Record an observation as a same-tick event."""
@@ -149,12 +154,16 @@ class SimEngine:
     # -- execution --------------------------------------------------------
 
     def run_until(self, t_end: int) -> None:
-        while self._queue and self._queue[0].fire_at <= t_end:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        observers = self._observers
+        handler_for = self._handlers.get
+        pop = heapq.heappop
+        while queue and queue[0][0] <= t_end:
+            event = pop(queue)[2]
             self.clock = event.fire_at
-            for observer in self._observers:
+            for observer in observers:
                 observer(event)
-            handler = self._handlers.get(event.kind)
+            handler = handler_for(event.kind)
             if handler is not None:
                 handler(event)
         self.clock = max(self.clock, t_end)
@@ -162,7 +171,7 @@ class SimEngine:
     def drain(self) -> None:
         """Run until the queue is empty, however far past t_end that goes."""
         while self._queue:
-            self.run_until(self._queue[0].fire_at)
+            self.run_until(self._queue[0][0])
 
     @property
     def pending(self) -> int:

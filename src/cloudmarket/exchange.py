@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .datacenter import Block, Datacenter
 from .money import Money, round_half_up
@@ -409,24 +408,45 @@ def _select_requests(
 ) -> list[BrokerRequestView]:
     """Utility-maximal subset under the capacity cap.
 
-    Exact by enumeration on small inputs; greedy by utility (then id)
-    beyond that, which stays deterministic if not provably optimal.
+    Exact on small inputs: a depth-first include/exclude search in
+    candidate order skips picks that do not fit the remaining room and
+    prunes branches that cannot reach the best utility found so far.
+    Ties go to the lexicographically smallest tuple of request ids, and
+    picks come back in candidate order.  The pruning is exact because
+    every candidate has utility > 0 and quantity > 0 (`broker_decide`
+    drops the rest).  Greedy by utility (then id) beyond that, which
+    stays deterministic if not provably optimal.
     """
     if len(candidates) <= _ENUMERATION_LIMIT:
+        n = len(candidates)
+        rest = [0] * (n + 1)  # rest[i]: summed utility of candidates[i:]
+        for i in range(n - 1, -1, -1):
+            rest[i] = rest[i + 1] + candidates[i][0]
         best_utility = 0
         best: tuple[str, ...] | None = None
-        best_views: list[BrokerRequestView] = []
-        for size in range(len(candidates), 0, -1):
-            for combo in combinations(candidates, size):
-                if sum(v.quantity for _, v in combo) > capacity:
-                    continue
-                utility = sum(u for u, _ in combo)
-                key = tuple(v.request_id for _, v in combo)
-                if utility > best_utility or (utility == best_utility and best is not None and key < best):
+        picks: list[int] = []
+        best_picks: list[int] = []
+
+        def search(i: int, room: int, utility: Money) -> None:
+            nonlocal best_utility, best, best_picks
+            if utility + rest[i] < best_utility:
+                return
+            if i == n:
+                key = tuple(candidates[j][1].request_id for j in picks)
+                if utility > best_utility or (best is not None and key < best):
                     best_utility = utility
                     best = key
-                    best_views = [v for _, v in combo]
-        return best_views
+                    best_picks = list(picks)
+                return
+            gain, view = candidates[i]
+            if view.quantity <= room:
+                picks.append(i)
+                search(i + 1, room - view.quantity, utility + gain)
+                picks.pop()
+            search(i + 1, room, utility)
+
+        search(0, capacity, 0)
+        return [candidates[j][1] for j in best_picks]
     chosen: list[BrokerRequestView] = []
     used = 0
     for utility, view in sorted(candidates, key=lambda c: (-c[0], c[1].request_id)):

@@ -480,10 +480,10 @@ def validate_scenario(raw, source: str = "<scenario>") -> Scenario:
             arrival=_validate_dist(wmap["arrival"], f"{wpath}.arrival", {"poisson", "periodic"}),
             count=(None if "count" not in wmap
                    else _as_int(wmap["count"], f"{wpath}.count", minimum=0)),
-            volume=_validate_dist(wmap["volume"], f"{wpath}.volume", {"constant", "uniform_int", "choice"}),
-            cpu_need=_validate_dist(wmap["cpu_need"], f"{wpath}.cpu_need", {"constant", "uniform_int", "choice"}),
+            volume=_validate_dist(wmap["volume"], f"{wpath}.volume", {"constant", "uniform_int", "choice"}, minimum=1),
+            cpu_need=_validate_dist(wmap["cpu_need"], f"{wpath}.cpu_need", {"constant", "uniform_int", "choice"}, minimum=1),
             mem_need=_validate_dist(wmap["mem_need"], f"{wpath}.mem_need", {"constant", "uniform_int", "choice"}, minimum=0),
-            deadline_slack=_validate_dist(wmap["deadline_slack"], f"{wpath}.deadline_slack", {"constant", "uniform", "choice"}),
+            deadline_slack=_validate_dist(wmap["deadline_slack"], f"{wpath}.deadline_slack", {"constant", "uniform", "choice"}, minimum=1),
             budget_factor=_validate_dist(wmap["budget_factor"], f"{wpath}.budget_factor", {"constant", "uniform", "choice"}, minimum=0),
             reference_rate=_as_rational(wmap["reference_rate"], f"{wpath}.reference_rate"),
         )
@@ -687,12 +687,18 @@ def generate_requests(scenario: Scenario, master_seed: int) -> list[ServiceReque
     consumer_ids = [c.consumer_id for c in scenario.consumers]
     requests: list[ServiceRequest] = []
     arrival = w.arrival
+    arrival_spec = _draw_spec(arrival) if arrival["kind"] == "poisson" else None
+    volume_spec = _draw_spec(w.volume)
+    cpu_spec = _draw_spec(w.cpu_need)
+    mem_spec = _draw_spec(w.mem_need)
+    slack_spec = _draw_spec(w.deadline_slack)
+    budget_spec = _draw_spec(w.budget_factor)
+    consumer_spec = {"dist": "choice", "values": consumer_ids}
     clock = 0.0
     index = 0
     while True:
-        if arrival["kind"] == "poisson":
-            gap = streams.draw("arrival", {"dist": "exponential", "rate": float(arrival["rate"])})
-            clock += gap
+        if arrival_spec is not None:
+            clock += streams.draw("arrival", arrival_spec)
             submit = int(clock)
         else:
             submit = index * arrival["interval"]
@@ -701,14 +707,13 @@ def generate_requests(scenario: Scenario, master_seed: int) -> list[ServiceReque
         if w.count is not None and index >= w.count:
             break
         index += 1
-        volume = int(streams.draw("volume", _draw_spec(w.volume)))
-        cpu_need = int(streams.draw("cpu_need", _draw_spec(w.cpu_need)))
-        mem_need = int(streams.draw("mem_need", _draw_spec(w.mem_need)))
-        slack = max(1.0, float(streams.draw("deadline", _draw_spec(w.deadline_slack))))
-        budget_factor = float(streams.draw("budget", _draw_spec(w.budget_factor)))
-        consumer = streams.draw("consumer", {"dist": "choice", "values": consumer_ids})
-        volume = max(1, volume)
-        cpu_need = max(1, cpu_need)
+        # validation keeps volume, cpu_need and slack draws at 1 or more
+        volume = int(streams.draw("volume", volume_spec))
+        cpu_need = int(streams.draw("cpu_need", cpu_spec))
+        mem_need = int(streams.draw("mem_need", mem_spec))
+        slack = float(streams.draw("deadline", slack_spec))
+        budget_factor = float(streams.draw("budget", budget_spec))
+        consumer = streams.draw("consumer", consumer_spec)
         ideal_runtime = ceil_div(volume, cpu_need)
         deadline = submit + boot_allowance + int(ceil(slack * ideal_runtime))
         budget = round_half_up(

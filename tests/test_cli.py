@@ -67,6 +67,22 @@ def test_unrunnable_scenario_exits_three_before_any_run(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("key, value, path", [
+    ("volume", {"kind": "constant", "value": 0}, "workload.volume.value"),
+    ("cpu_need", {"kind": "constant", "value": -3}, "workload.cpu_need.value"),
+    ("deadline_slack", {"kind": "constant", "value": "1/2"}, "workload.deadline_slack.value"),
+], ids=["zero-volume", "negative-cpu", "half-slack"])
+def test_draws_below_one_exit_three_before_generating(tmp_path, capsys, key, value, path):
+    raw = yaml.safe_load(Path(SMOKE).read_text(encoding="utf-8"))
+    raw["workload"][key] = value
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--scenario", str(broken), "--out", str(out), "--mode", "generate"]) == 3
+    assert f"{path}:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bad_flag_exits_two(capsys):
     assert main(["--scenario", SMOKE, "--mode", "interpretive_dance"]) == 2
     capsys.readouterr()

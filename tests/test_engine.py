@@ -1,11 +1,15 @@
 """Event loop ordering, determinism, and seeded stream behavior."""
 
+import hashlib
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cloudmarket.engine import (
+    Event,
     RngStreams,
     SchedulingInPast,
     SimEngine,
@@ -143,6 +147,18 @@ def test_payload_digest_is_key_order_insensitive():
     assert payload_digest({"a": 1}) != payload_digest({"a": 2})
 
 
+@pytest.mark.parametrize("payload", [
+    {"price": Fraction(7, 3), "sla": None},
+    {"outer": {"b": [1, Fraction(1, 2), None], "a": {"z": 0, "y": "x"}}, "n": -4},
+    {"items": [{"id": "req000001", "q": 3}, {"id": "req000002", "q": None}]},
+    {},
+])
+def test_payload_digest_matches_json_dumps(payload):
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    expected = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    assert payload_digest(payload) == expected
+
+
 def test_observers_see_events_handlers_ignore():
     engine = SimEngine()
     seen = []
@@ -211,3 +227,57 @@ def test_firing_order_is_total_and_stable(fire_ats, t_end):
     )
     assert fired == due
     assert engine.clock == max([t_end] + [at for at, _ in fired])
+
+
+def test_events_fire_in_fire_at_seq_order_without_comparing_events():
+    # payloads hold None and Fraction, and events define no ordering, so
+    # the heap must order entries by (fire_at, seq) alone
+    with pytest.raises(TypeError):
+        Event(1, 0, "e", {}) < Event(1, 1, "e", {})
+    for seed in range(40):
+        rng = random.Random(seed)
+        engine = SimEngine()
+        scheduled = []
+        fired = []
+
+        def payload():
+            return {"price": Fraction(rng.randint(1, 9), rng.randint(1, 9)), "sla": None}
+
+        def on_event(ev):
+            fired.append((ev.fire_at, ev.seq))
+            if len(scheduled) >= 150:
+                return
+            for _ in range(rng.randint(0, 2)):
+                choice = rng.random()
+                if choice < 0.35:
+                    seq = engine.emit("e", payload())
+                    scheduled.append((engine.clock, seq))
+                elif choice < 0.7:
+                    seq = engine.schedule("e", payload(), fire_at=engine.clock)
+                    scheduled.append((engine.clock, seq))
+                else:
+                    at = engine.clock + rng.randint(1, 5)
+                    scheduled.append((at, engine.schedule("e", payload(), fire_at=at)))
+
+        engine.on("e", on_event)
+        for _ in range(rng.randint(1, 20)):
+            at = rng.randint(0, 10)
+            scheduled.append((at, engine.schedule("e", payload(), fire_at=at)))
+        engine.drain()
+        assert fired == sorted(scheduled), seed
+        assert engine.pending == 0
+
+
+def test_emit_goes_through_schedule(monkeypatch):
+    calls = []
+    original = SimEngine.schedule
+
+    def counting(engine, kind, payload=None, fire_at=0):
+        calls.append((kind, fire_at))
+        return original(engine, kind, payload, fire_at)
+
+    monkeypatch.setattr(SimEngine, "schedule", counting)
+    engine = SimEngine()
+    engine.run_until(4)
+    engine.emit("note", {"x": None})
+    assert calls == [("note", 4)]

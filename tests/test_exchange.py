@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -28,6 +29,7 @@ from cloudmarket.exchange import (
     ROLE_PROVIDER,
     VariablePrice,
     WORLD,
+    _select_requests,
     broker_decide,
     provider_set_price,
     settle_sla,
@@ -410,8 +412,6 @@ def test_funds_cap_the_bid_limit():
 
 def test_broker_subset_matches_exhaustive_search():
     # oracle: enumerate all subsets under the capacity cap
-    from itertools import combinations
-
     rng = random.Random(17)
     for case in range(120):
         views = [
@@ -444,6 +444,93 @@ def test_broker_subset_matches_exhaustive_search():
                 best = max(best, sum(utility[v.request_id] for v in combo))
         got = sum(utility[r] for r in chosen)
         assert got == best, (case, utility, capacity, chosen)
+
+
+def _select_by_enumeration(candidates, capacity):
+    # reference: the exact branch as it was, every subset enumerated
+    best_utility = 0
+    best: tuple[str, ...] | None = None
+    best_views: list[BrokerRequestView] = []
+    for size in range(len(candidates), 0, -1):
+        for combo in combinations(candidates, size):
+            if sum(v.quantity for _, v in combo) > capacity:
+                continue
+            utility = sum(u for u, _ in combo)
+            key = tuple(v.request_id for _, v in combo)
+            if utility > best_utility or (utility == best_utility and best is not None and key < best):
+                best_utility = utility
+                best = key
+                best_views = [v for _, v in combo]
+    return best_views
+
+
+def _candidates(rng, n, utilities, max_quantity):
+    # ids in shuffled order, so candidate order is not id order
+    ids = rng.sample(range(1, 1_000), n)
+    return [
+        (rng.choice(utilities), BrokerRequestView(f"req{ids[i]:06d}", 0, rng.randint(1, max_quantity)))
+        for i in range(n)
+    ]
+
+
+def test_exact_selection_matches_subset_enumeration():
+    rng = random.Random(2024)
+    ties = 0
+    for n in range(0, 13):
+        for case in range(60):
+            # few distinct utilities, so equal-utility subsets are common
+            utilities = [1, 2, 3] if case % 2 else [rng.randint(1, 400) for _ in range(6)]
+            candidates = _candidates(rng, n, utilities, max_quantity=8)
+            capacity = rng.choice([0, rng.randint(1, 12), rng.randint(8, 40), 100])
+            expected = _select_by_enumeration(candidates, capacity)
+            assert _select_requests(candidates, capacity) == expected, (n, case, candidates, capacity)
+            if n <= 8:
+                best = sum(u for u, v in candidates if v in expected)
+                optima = [
+                    combo for size in range(1, n + 1) for combo in combinations(candidates, size)
+                    if sum(v.quantity for _, v in combo) <= capacity
+                    and sum(u for u, _ in combo) == best
+                ]
+                ties += len(optima) > 1
+    assert ties >= 20  # the id tie-break decided these cases
+
+
+@pytest.mark.parametrize("capacity, quantities, expected", [
+    (0, [1, 2, 3], []),                                       # nothing fits
+    (100, [1, 2, 3], ["req000003", "req000001", "req000002"]),  # everything fits
+    (4, [5, 9, 4], ["req000002"]),                            # only the third fits
+    (2, [3, 7, 9], []),                                       # every single pick too big
+])
+def test_exact_selection_edge_capacities(capacity, quantities, expected):
+    ids = ["req000003", "req000001", "req000002"]
+    candidates = [
+        (10, BrokerRequestView(rid, 0, q)) for rid, q in zip(ids, quantities)
+    ]
+    chosen = _select_requests(candidates, capacity)
+    assert [v.request_id for v in chosen] == expected
+    assert chosen == _select_by_enumeration(candidates, capacity)
+
+
+def test_equal_utility_goes_to_the_smallest_id_tuple():
+    a, b = BrokerRequestView("req000001", 0, 1), BrokerRequestView("req000002", 0, 1)
+    c = BrokerRequestView("req000003", 0, 2)
+    # {a, b} and {c} both reach 6 in 2 units of room
+    assert _select_requests([(3, a), (3, b), (6, c)], 2) == [a, b]
+    # {d, a} and {b, c} both reach 6 in 4 units; the ids are compared in
+    # candidate order, ("req000002", "req000003") < ("req000004", "req000001")
+    b, c = BrokerRequestView("req000002", 0, 2), BrokerRequestView("req000003", 0, 2)
+    d = BrokerRequestView("req000004", 0, 3)
+    assert _select_requests([(5, d), (3, b), (3, c), (1, a)], 4) == [b, c]
+
+
+def test_greedy_above_twelve_candidates_is_unchanged():
+    # utility order, then id, while it fits: the 10-unit pick first,
+    # then the two smallest ids; the exact optimum would be twelve 9s
+    big = BrokerRequestView("req000099", 0, 10)
+    small = [BrokerRequestView(f"req{i:06d}", 0, 1) for i in range(12, 0, -1)]
+    candidates = [(9, v) for v in small] + [(10, big)]
+    chosen = _select_requests(candidates, 12)
+    assert [v.request_id for v in chosen] == ["req000099", "req000001", "req000002"]
 
 
 # -- advance reservations -----------------------------------------------------------------

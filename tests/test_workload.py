@@ -188,6 +188,36 @@ def test_negative_budget_factor_is_refused(key, value, path):
     assert exc.value.field_path == path
 
 
+@pytest.mark.parametrize("key, dist, path", [
+    ("volume", {"kind": "constant", "value": 0}, "workload.volume.value"),
+    ("volume", {"kind": "uniform_int", "low": 0, "high": 5}, "workload.volume.low"),
+    ("cpu_need", {"kind": "constant", "value": -3}, "workload.cpu_need.value"),
+    ("cpu_need", {"kind": "choice", "values": [1, 0]}, "workload.cpu_need.values[1]"),
+    ("deadline_slack", {"kind": "constant", "value": "1/2"}, "workload.deadline_slack.value"),
+    ("deadline_slack", {"kind": "uniform", "low": "1/2", "high": 3}, "workload.deadline_slack.low"),
+])
+def test_draws_below_one_are_refused(key, dist, path):
+    # a request needs volume and cpu_need >= 1, and a deadline slack
+    # below 1 would set a deadline no execution can meet
+    raw = minimal_raw()
+    raw["workload"][key] = dist
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == path
+
+
+def test_draws_of_exactly_one_are_kept():
+    raw = minimal_raw()
+    raw["workload"]["count"] = 5
+    for key in ("volume", "cpu_need", "deadline_slack"):
+        raw["workload"][key] = {"kind": "constant", "value": 1}
+    requests = generate_requests(validate_scenario(raw), master_seed=3)
+    assert len(requests) == 5
+    for req in requests:
+        assert (req.workload_volume, req.qos.cpu_need) == (1, 1)
+        assert req.qos.deadline == req.submit_time + 1
+
+
 def test_round_trip_is_identity():
     # oracle: load -> dump -> load lands on the same scenario
     scenario = load_scenario("scenarios/smoke.yaml")
