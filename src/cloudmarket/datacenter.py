@@ -1,9 +1,12 @@
 """Physical machines, VM lifecycle, and per-machine commitment calendars.
 
-Capacity is enforced twice: the live VM population of a machine can
-never exceed its capacity (checked on every lifecycle event), and the
-forward-looking commitment calendar used by admission and reservations
-can never promise more than the machine has at any tick.
+Each machine's commitment calendar is the one record of committed
+capacity: admission and reservations add blocks to it, and it never
+promises more than the machine has at any tick.  A VM starts only inside
+its block, and the engine fires a tick's releases before its provisions,
+so the VMs a machine hosts fit its capacity too.  `provision_vm` checks
+that once more against the hosted VMs; a breach is a simulator bug and
+fails the run.
 """
 
 from __future__ import annotations
@@ -40,13 +43,7 @@ class PhysicalMachine:
     machine_id: str
     cpu_capacity: int
     mem_capacity: int
-    free_cpu: int = 0
-    free_mem: int = 0
     hosted: set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.free_cpu = self.cpu_capacity
-        self.free_mem = self.mem_capacity
 
 
 @dataclass
@@ -220,17 +217,12 @@ class Datacenter:
     def free_cu_ticks(self, start: int, end: int) -> int:
         """Uncommitted cpu-ticks over [start, end) across the fleet."""
         free = 0
-        for machine_id in sorted(self.machines):
-            cal = self.calendars[machine_id]
-            boundaries = {start, end}
+        for cal in self.calendars.values():
+            free += cal.cpu_capacity * (end - start)
             for b in cal.blocks:
-                if b.end > start and b.start < end:
-                    boundaries.add(max(b.start, start))
-                    boundaries.add(min(b.end, end))
-            points = sorted(boundaries)
-            for lo, hi in zip(points, points[1:]):
-                used, _ = cal.usage_at(lo)
-                free += (cal.cpu_capacity - used) * (hi - lo)
+                overlap = min(b.end, end) - max(b.start, start)
+                if overlap > 0:
+                    free -= b.cpu * overlap
         return free
 
     # -- lifecycle ---------------------------------------------------------
@@ -245,9 +237,14 @@ class Datacenter:
         if cpu_entitlement <= 0:
             raise InsufficientCapacity("entitlement must be positive")
         machine = self.machines[machine_id]
-        if machine.free_cpu < cpu_entitlement or machine.free_mem < mem_entitlement:
+        used_cpu = sum(self.vms[v].cpu_entitlement for v in machine.hosted)
+        used_mem = sum(self.vms[v].mem_entitlement for v in machine.hosted)
+        if (used_cpu + cpu_entitlement > machine.cpu_capacity
+                or used_mem + mem_entitlement > machine.mem_capacity):
             raise InsufficientCapacity(
-                f"{machine_id} lacks {cpu_entitlement} cu / {mem_entitlement} MB"
+                f"{machine_id} lacks {cpu_entitlement} cu / {mem_entitlement} MB at t={at}: "
+                f"its VMs hold {used_cpu} of {machine.cpu_capacity} cu, "
+                f"{used_mem} of {machine.mem_capacity} MB"
             )
         self._vm_counter += 1
         vm_id = f"{self.provider_id}-vm{self._vm_counter:05d}"
@@ -260,8 +257,6 @@ class Datacenter:
         )
         self.vms[vm_id] = vm
         machine.hosted.add(vm_id)
-        machine.free_cpu -= cpu_entitlement
-        machine.free_mem -= mem_entitlement
         self.engine.emit("vm_provision", {
             "provider": self.provider_id, "vm_id": vm_id, "machine": machine_id,
             "cpu": cpu_entitlement, "mem": mem_entitlement, "ready_at": vm.ready_at,
@@ -269,7 +264,6 @@ class Datacenter:
         self.engine.schedule("vm_booted", {
             "provider": self.provider_id, "vm_id": vm_id,
         }, fire_at=vm.ready_at)
-        self.check_capacity()
         return vm_id
 
     def release_vm(self, vm_id: str, at: int) -> tuple[int, int]:
@@ -280,15 +274,11 @@ class Datacenter:
             raise AlreadyStopped(vm_id)
         vm.stopped = True
         vm.assigned_request = None
-        machine = self.machines[vm.host]
-        machine.hosted.discard(vm_id)
-        machine.free_cpu += vm.cpu_entitlement
-        machine.free_mem += vm.mem_entitlement
+        self.machines[vm.host].hosted.discard(vm_id)
         self.engine.emit("vm_release", {
             "provider": self.provider_id, "vm_id": vm_id, "machine": vm.host,
             "cpu": vm.cpu_entitlement, "mem": vm.mem_entitlement,
         })
-        self.check_capacity()
         return vm.cpu_entitlement, vm.mem_entitlement
 
     def dispatch(self, request_id: str, vm_id: str, at: int, workload_volume: int) -> int:
@@ -319,25 +309,6 @@ class Datacenter:
         request_id = vm.assigned_request
         vm.assigned_request = None
         return request_id
-
-    # -- monitoring ---------------------------------------------------------
-
-    def check_capacity(self) -> None:
-        for machine_id, m in self.machines.items():
-            cpu = sum(
-                self.vms[v].cpu_entitlement for v in m.hosted if not self.vms[v].stopped
-            )
-            mem = sum(
-                self.vms[v].mem_entitlement for v in m.hosted if not self.vms[v].stopped
-            )
-            if cpu > m.cpu_capacity or mem > m.mem_capacity:
-                raise CapacityViolation(
-                    f"{machine_id}: hosted {cpu} cu/{mem} MB exceeds capacity"
-                )
-            if m.free_cpu != m.cpu_capacity - cpu or m.free_mem != m.mem_capacity - mem:
-                raise CapacityViolation(f"{machine_id}: free counters drifted")
-            if m.free_cpu < 0 or m.free_mem < 0:
-                raise CapacityViolation(f"{machine_id}: negative free capacity")
 
 
 def fleet_specs(provider_id: str, groups: list[dict]) -> list[tuple[str, int, int]]:

@@ -1,7 +1,7 @@
 """Deterministic discrete-event kernel.
 
-Integer tick clock, a heap-ordered event queue with (fire_at, seq)
-tie-breaking, named seeded random streams, and line-delimited trace
+Integer tick clock, a heap-ordered event queue with (fire_at, priority,
+seq) ordering, named seeded random streams, and line-delimited trace
 emission. Every other component runs on top of this loop; a run is a
 pure function of (scenario, master_seed).
 """
@@ -116,14 +116,20 @@ class SimEngine:
     """Single-threaded event loop with deterministic ordering.
 
     Handlers are registered per event kind; observers see every fired
-    event (metrics, trace writers). Events scheduled at the current
-    clock fire later in the same tick, after everything already queued
-    there, because seq strictly increases in scheduling order.
+    event (metrics, trace writers). Events fire in (fire_at, priority,
+    seq) order: within a tick every priority-0 event fires before any
+    priority-1 event, including priority-0 events emitted while the
+    tick runs, and equal priorities fire in scheduling order because
+    seq strictly increases. VM provisions are the only priority-1
+    events, so a tick's completions and releases free their machines
+    first; what a provision emits (`vm_provision`, `dispatch`) is
+    priority 0 and precedes the tick's next provision. The trace lists
+    events in firing order, so seq is not monotone within a tick.
     """
 
     def __init__(self) -> None:
         self.clock: int = 0
-        self._queue: list[tuple[int, int, Event]] = []  # (fire_at, seq, event)
+        self._queue: list[tuple[int, int, int, Event]] = []  # (fire_at, priority, seq, event)
         self._next_seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
         self._observers: list[Callable[[Event], None]] = []
@@ -138,13 +144,17 @@ class SimEngine:
 
     # -- scheduling -------------------------------------------------------
 
-    def schedule(self, kind: str, payload: dict | None = None, fire_at: int = 0) -> int:
+    def schedule(
+        self, kind: str, payload: dict | None = None, fire_at: int = 0, priority: int = 0,
+    ) -> int:
         if fire_at < self.clock:
             raise SchedulingInPast(f"fire_at={fire_at} < clock={self.clock}")
         seq = self._next_seq
         self._next_seq = seq + 1
         # seq is unique, so the heap never compares two events
-        heapq.heappush(self._queue, (fire_at, seq, Event(fire_at, seq, kind, payload or {})))
+        heapq.heappush(
+            self._queue, (fire_at, priority, seq, Event(fire_at, seq, kind, payload or {})),
+        )
         return seq
 
     def emit(self, kind: str, payload: dict | None = None) -> int:
@@ -159,7 +169,7 @@ class SimEngine:
         handler_for = self._handlers.get
         pop = heapq.heappop
         while queue and queue[0][0] <= t_end:
-            event = pop(queue)[2]
+            event = pop(queue)[3]
             self.clock = event.fire_at
             for observer in observers:
                 observer(event)

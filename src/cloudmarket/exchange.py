@@ -12,16 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .datacenter import Block, Datacenter
+from .datacenter import Block, CapacityViolation, Datacenter
 from .money import Money, round_half_up
 from .negotiation import Sla
 
 BID = "bid"
 ASK = "ask"
-
-ROLE_PROVIDER = "provider"
-ROLE_CONSUMER = "consumer"
-ROLE_BROKER = "broker"
 
 
 class InvalidListing(Exception):
@@ -61,15 +57,14 @@ class ConservationError(Exception):
 @dataclass
 class Listing:
     participant_id: str
-    role: str
-    capacity: int  # offered capacity (providers) or demand profile proxy
+    capacity: int  # offered cpu capacity
     price_hint: Money  # advisory price per cpu-tick
 
 
 class MarketDirectory:
-    """Registry participants consult to find each other.
+    """Provider listings that brokers consult for posted prices.
 
-    One live listing per participant; re-registering replaces it.
+    One live listing per provider; re-registering replaces it.
     Queries sort by participant_id.
     """
 
@@ -78,8 +73,6 @@ class MarketDirectory:
         self._seq = 0
 
     def register(self, listing: Listing) -> str:
-        if listing.role not in (ROLE_PROVIDER, ROLE_CONSUMER, ROLE_BROKER):
-            raise InvalidListing(f"unknown role {listing.role!r}")
         if listing.capacity < 0 or listing.price_hint < 0:
             raise InvalidListing("capacity and price_hint must be >= 0")
         self._seq += 1
@@ -91,11 +84,8 @@ class MarketDirectory:
             raise InvalidListing(f"no listing for {participant_id}")
         self.listings[participant_id].price_hint = price_hint
 
-    def query(self, role: str | None = None) -> list[Listing]:
-        return [
-            self.listings[participant_id] for participant_id in sorted(self.listings)
-            if role is None or self.listings[participant_id].role == role
-        ]
+    def query(self) -> list[Listing]:
+        return [self.listings[participant_id] for participant_id in sorted(self.listings)]
 
 
 # -- bank ledger --------------------------------------------------------------
@@ -469,10 +459,9 @@ def broker_decide(
     auction bid when some posted hint is inside its price ceiling, and a
     negotiation opening with the cheapest provider otherwise.
     """
-    providers = [l for l in market.listings if l.role == ROLE_PROVIDER]
-    if not providers or not requests:
+    if not market.listings or not requests:
         return []
-    cheapest = min(providers, key=lambda l: (l.price_hint, l.participant_id))
+    cheapest = min(market.listings, key=lambda l: (l.price_hint, l.participant_id))
     unit_estimate = (
         market.last_clearing_price
         if market.last_clearing_price is not None
@@ -494,7 +483,7 @@ def broker_decide(
         limit = spendable // view.quantity
         if limit <= 0:
             continue
-        if any(l.price_hint <= limit for l in providers):
+        if any(l.price_hint <= limit for l in market.listings):
             actions.append(BrokerAction(
                 "bid", view.request_id, view.quantity, limit, market.window,
             ))
@@ -567,16 +556,19 @@ class ReservationBook:
     ) -> Reservation:
         if not backing_sla:
             raise ReservationConflict("a reservation must name its backing SLA")
-        cal = datacenter.calendars[machine_id]
-        if not cal.fits(start, end - start, cpu, mem):
-            raise ReservationConflict(f"{machine_id} cannot hold [{start}, {end})")
+        reservation_id = f"rsv{self._seq + 1:06d}"
+        try:
+            datacenter.calendars[machine_id].add(
+                Block(start, end, cpu, mem, owner=reservation_id),
+            )
+        except CapacityViolation as exc:
+            raise ReservationConflict(f"{machine_id} cannot hold [{start}, {end})") from exc
         self._seq += 1
         reservation = Reservation(
-            f"rsv{self._seq:06d}", datacenter.provider_id, holder_id, machine_id,
+            reservation_id, datacenter.provider_id, holder_id, machine_id,
             start, end, cpu, mem, backing_sla,
         )
-        cal.add(Block(start, end, cpu, mem, owner=reservation.reservation_id))
-        self.reservations[reservation.reservation_id] = reservation
+        self.reservations[reservation_id] = reservation
         return reservation
 
 

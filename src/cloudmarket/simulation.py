@@ -33,7 +33,6 @@ from .exchange import (
     MarketView,
     OrderBook,
     ReservationBook,
-    ROLE_PROVIDER,
     VariablePrice,
     broker_decide,
     provider_set_price,
@@ -188,7 +187,6 @@ class _Run:
         for provider_id, prov in self.providers.items():
             self.directory.register(Listing(
                 participant_id=provider_id,
-                role=ROLE_PROVIDER,
                 capacity=prov.datacenter.total_cpu_capacity,
                 price_hint=prov.posted_price,
             ))
@@ -285,20 +283,10 @@ class _Run:
         })
 
     def on_provision_due(self, event) -> None:
-        p = event.payload
-        commit = self.committed[p["request_id"]]
+        commit = self.committed[event.payload["request_id"]]
         now = self.engine.clock
         prov = self.providers[commit.provider_id]
         request = commit.request
-        machine = prov.datacenter.machines[commit.machine_id]
-        if (machine.free_cpu < request.qos.cpu_need
-                or machine.free_mem < request.qos.mem_need):
-            # a same-tick completion still holds the machine; its release
-            # event is already queued, so one deferral lands after it
-            retries = p.get("retries", 0)
-            if retries < 16:
-                self.engine.emit("provision_due", {**p, "retries": retries + 1})
-                return
         vm_id = prov.datacenter.provision_vm(
             request.qos.cpu_need, request.qos.mem_need, now,
             machine_id=commit.machine_id,
@@ -407,7 +395,7 @@ class _BaselineRun(_Run):
                 )
                 self.engine.schedule("provision_due", {
                     "request_id": request.request_id, "provider": provider_id,
-                }, fire_at=plan.vm_start)
+                }, fire_at=plan.vm_start, priority=1)
                 return
             if first_reason is None:
                 first_reason = decision.reason
@@ -521,7 +509,7 @@ class _MarketRun(_Run):
                 expected_penalty=0,
                 margin=margin,
             ))
-        listings = self.directory.query(role=ROLE_PROVIDER)
+        listings = self.directory.query()
         chosen: dict[str, BrokerAction] = {}
         for broker_id in sorted(by_broker):
             view = MarketView(
@@ -678,7 +666,7 @@ class _MarketRun(_Run):
         )
         self.engine.schedule("provision_due", {
             "request_id": request.request_id, "provider": provider_id,
-        }, fire_at=start)
+        }, fire_at=start, priority=1)
         return True
 
     def _negotiate_leftovers(self, now: int, actions: dict[str, BrokerAction]) -> None:

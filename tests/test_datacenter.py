@@ -18,6 +18,12 @@ from cloudmarket.datacenter import (
 from cloudmarket.engine import SimEngine, TraceRecorder
 
 
+def hosted_usage(dc, machine_id):
+    """(cpu, mem) held by the VMs a machine hosts."""
+    vms = [dc.vms[v] for v in dc.machines[machine_id].hosted]
+    return sum(vm.cpu_entitlement for vm in vms), sum(vm.mem_entitlement for vm in vms)
+
+
 def make_dc(specs, boot_delay=0):
     engine = SimEngine()
     recorder = TraceRecorder()
@@ -31,15 +37,23 @@ def test_fresh_datacenter_is_idle():
     assert dc.total_cpu_capacity == 12
     assert dc.committed_cpu_at(0) == 0
     assert not dc.vms
-    assert dc.machines["m1"].free_cpu == 4
     assert not dc.machines["m1"].hosted
+    # the whole machine is free: a full-size VM fits, one cu more does not
+    with pytest.raises(InsufficientCapacity):
+        dc.provision_vm(5, 16, at=0, machine_id="m1")
+    dc.provision_vm(4, 16, at=0, machine_id="m1")
 
 
 def test_single_machine_placement():
     _, _, dc = make_dc([("m1", 4, 16)])
     vm_id = dc.provision_vm(1, 4, at=0, machine_id="m1")
     assert dc.vms[vm_id].host == "m1"
-    assert dc.machines["m1"].free_cpu == 3
+    assert dc.machines["m1"].hosted == {vm_id}
+    assert hosted_usage(dc, "m1") == (1, 4)
+    # 3 cu are left
+    with pytest.raises(InsufficientCapacity):
+        dc.provision_vm(4, 1, at=0, machine_id="m1")
+    dc.provision_vm(3, 1, at=0, machine_id="m1")
 
 
 def test_full_fleet_refuses_more_vms():
@@ -54,8 +68,9 @@ def test_release_returns_all_capacity():
     vm_id = dc.provision_vm(4, 16, at=0, machine_id="m1")
     freed = dc.release_vm(vm_id, at=5)
     assert freed == (4, 16)
-    assert dc.machines["m1"].free_cpu == 4
-    assert dc.machines["m1"].free_mem == 16
+    assert not dc.machines["m1"].hosted
+    assert hosted_usage(dc, "m1") == (0, 0)
+    dc.provision_vm(4, 16, at=5, machine_id="m1")
 
 
 def test_release_then_equal_provision_same_tick():
@@ -64,7 +79,10 @@ def test_release_then_equal_provision_same_tick():
     dc.release_vm(first, at=3)
     second = dc.provision_vm(4, 16, at=3, machine_id="m1")
     assert second != first
-    assert dc.machines["m1"].free_cpu == 0
+    assert dc.machines["m1"].hosted == {second}
+    assert hosted_usage(dc, "m1") == (4, 16)
+    with pytest.raises(InsufficientCapacity):
+        dc.provision_vm(1, 1, at=3, machine_id="m1")
 
 
 def test_release_unknown_vm():
@@ -91,64 +109,69 @@ def test_boot_delay_gates_vm_state():
     assert [(ev.fire_at, ev.payload["vm_id"]) for ev in booted] == [(13, vm_id)]
 
 
+def replay_usage(events, machine_id):
+    """(cpu, mem) a machine holds after replaying vm_provision/vm_release."""
+    cpu = mem = 0
+    for ev in events:
+        if ev.payload.get("machine") != machine_id:
+            continue
+        sign = {"vm_provision": 1, "vm_release": -1}.get(ev.kind, 0)
+        cpu += sign * ev.payload["cpu"]
+        mem += sign * ev.payload["mem"]
+    return cpu, mem
+
+
 def test_snapshot_matches_independent_trace_replay():
     # oracle: reduce the event trace with separate bookkeeping, then
-    # compare against the live machines and VMs
+    # compare against the live machines and VMs; a provision is refused
+    # exactly when the replayed usage plus the new VM exceeds capacity
     engine, recorder, dc = make_dc(
         [("m1", 4, 16), ("m2", 8, 32)], boot_delay=2
     )
     rng = random.Random(7)
     live = []
+    refused = 0
     for step in range(60):
         at = step
         engine.run_until(at)
         if rng.random() < 0.5:
             cpu, mem = rng.randint(1, 3), rng.randint(1, 8)
             machine_id = rng.choice(["m1", "m2"])
+            used_cpu, used_mem = replay_usage(recorder.events, machine_id)
+            m = dc.machines[machine_id]
+            overflows = used_cpu + cpu > m.cpu_capacity or used_mem + mem > m.mem_capacity
+            refused += overflows
             try:
                 live.append(dc.provision_vm(cpu, mem, at=at, machine_id=machine_id))
             except InsufficientCapacity:
-                m = dc.machines[machine_id]
-                assert m.free_cpu < cpu or m.free_mem < mem
+                assert overflows
+            else:
+                assert not overflows
         elif live and rng.random() < 0.7:
             victim = live.pop(rng.randrange(len(live)))
             dc.release_vm(victim, at=at)
     engine.drain()
     now = engine.clock
+    assert refused > 0
 
-    machines = {
-        m.machine_id: {
-            "cpu_capacity": m.cpu_capacity,
-            "mem_capacity": m.mem_capacity,
-            "free_cpu": m.cpu_capacity,
-            "free_mem": m.mem_capacity,
-            "hosted": set(),
-        }
-        for m in dc.machines.values()
-    }
+    hosted = {machine_id: set() for machine_id in dc.machines}
     vms = {}
     for ev in recorder.events:
         p = ev.payload
         if ev.kind == "vm_provision":
-            machines[p["machine"]]["free_cpu"] -= p["cpu"]
-            machines[p["machine"]]["free_mem"] -= p["mem"]
-            machines[p["machine"]]["hosted"].add(p["vm_id"])
+            hosted[p["machine"]].add(p["vm_id"])
             state = "Running" if now >= p["ready_at"] else "Starting"
             vms[p["vm_id"]] = {
                 "host": p["machine"], "cpu": p["cpu"], "mem": p["mem"],
                 "state": state, "assigned_request": None,
             }
         elif ev.kind == "vm_release":
-            machines[p["machine"]]["free_cpu"] += p["cpu"]
-            machines[p["machine"]]["free_mem"] += p["mem"]
-            machines[p["machine"]]["hosted"].discard(p["vm_id"])
+            hosted[p["machine"]].discard(p["vm_id"])
             vms[p["vm_id"]]["state"] = "Stopped"
 
-    for machine_id, reduced in machines.items():
-        got = dc.machines[machine_id]
-        assert got.free_cpu == reduced["free_cpu"]
-        assert got.free_mem == reduced["free_mem"]
-        assert got.hosted == reduced["hosted"]
+    for machine_id, reduced in hosted.items():
+        assert dc.machines[machine_id].hosted == reduced
+        assert hosted_usage(dc, machine_id) == replay_usage(recorder.events, machine_id)
 
     def state(vm):
         if vm.stopped:
@@ -288,3 +311,39 @@ def test_free_cu_ticks_counts_idle_capacity():
     dc.calendars["m1"].add(Block(0, 5, 4, 1, owner="x"))
     # [0,5) fully booked, [5,10) idle: 4 cu * 5 ticks
     assert dc.free_cu_ticks(0, 10) == 20
+
+
+def _per_segment_free_cu_ticks(dc, start, end):
+    # the earlier implementation: one usage_at query per boundary segment
+    free = 0
+    for machine_id in sorted(dc.machines):
+        cal = dc.calendars[machine_id]
+        boundaries = {start, end}
+        for b in cal.blocks:
+            if b.end > start and b.start < end:
+                boundaries.add(max(b.start, start))
+                boundaries.add(min(b.end, end))
+        points = sorted(boundaries)
+        for lo, hi in zip(points, points[1:]):
+            used, _ = cal.usage_at(lo)
+            free += (cal.cpu_capacity - used) * (hi - lo)
+    return free
+
+
+def test_free_cu_ticks_matches_per_segment_sum():
+    rng = random.Random(31)
+    for case in range(300):
+        specs = [(f"m{i}", rng.randint(1, 8), rng.randint(4, 32))
+                 for i in range(rng.randint(1, 3))]
+        _, _, dc = make_dc(specs)
+        for cal in dc.calendars.values():
+            for _ in range(rng.randint(0, 10)):
+                start = rng.randint(0, 60)
+                end = start + rng.randint(1, 20)
+                cpu = rng.randint(0, cal.cpu_capacity)
+                mem = rng.randint(0, cal.mem_capacity)
+                if cal.fits(start, end - start, cpu, mem):
+                    cal.add(Block(start, end, cpu, mem, owner=f"b{case}"))
+        start = rng.randint(0, 70)
+        end = start + rng.randint(0, 30)
+        assert dc.free_cu_ticks(start, end) == _per_segment_free_cu_ticks(dc, start, end), case

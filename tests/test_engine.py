@@ -87,6 +87,32 @@ def test_emit_lands_later_in_the_same_tick():
     assert engine.clock == 3
 
 
+def test_priority_one_fires_after_the_whole_tick():
+    # priority-1 events wait for every priority-0 event of their tick,
+    # also those emitted while it runs; equal priorities keep seq order
+    engine = SimEngine()
+    fired = []
+
+    def note(ev):
+        fired.append((ev.fire_at, ev.kind, ev.seq))
+        if ev.kind in ("late", "early") and ev.payload.get("emit"):
+            engine.emit("echo", {})
+
+    for kind in ("late", "early", "echo"):
+        engine.on(kind, note)
+    engine.schedule("late", {"emit": True}, fire_at=2, priority=1)   # seq 0
+    engine.schedule("early", {"emit": True}, fire_at=2)              # seq 1
+    engine.schedule("late", fire_at=2, priority=1)                   # seq 2
+    engine.schedule("early", fire_at=1, priority=1)                  # seq 3
+    engine.schedule("early", fire_at=2)                              # seq 4
+    engine.drain()
+    assert fired == [
+        (1, "early", 3),
+        (2, "early", 1), (2, "early", 4), (2, "echo", 5),
+        (2, "late", 0), (2, "echo", 6), (2, "late", 2),
+    ]
+
+
 def test_drain_runs_past_follow_up_events():
     engine = SimEngine()
     hops = []

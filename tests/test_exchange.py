@@ -14,7 +14,6 @@ from cloudmarket.exchange import (
     AlreadySettled,
     BrokerRequestView,
     InsufficientFunds,
-    InvalidListing,
     InvalidOrder,
     InvalidPolicy,
     Ledger,
@@ -24,9 +23,6 @@ from cloudmarket.exchange import (
     OrderBook,
     ReservationBook,
     ReservationConflict,
-    ROLE_BROKER,
-    ROLE_CONSUMER,
-    ROLE_PROVIDER,
     VariablePrice,
     WORLD,
     _select_requests,
@@ -42,32 +38,17 @@ from cloudmarket.negotiation import PenaltySchedule, Sla
 
 def test_single_listing_round_trip():
     directory = MarketDirectory()
-    directory.register(Listing("alpine", ROLE_PROVIDER, 16, 40))
-    hits = directory.query(role=ROLE_PROVIDER)
+    directory.register(Listing("alpine", 16, 40))
+    hits = directory.query()
     assert [l.participant_id for l in hits] == ["alpine"]
 
 
 def test_reregistration_replaces_the_listing():
     directory = MarketDirectory()
-    directory.register(Listing("alpine", ROLE_PROVIDER, 16, 40))
-    directory.register(Listing("alpine", ROLE_PROVIDER, 16, 55))
+    directory.register(Listing("alpine", 16, 40))
+    directory.register(Listing("alpine", 16, 55))
     hits = directory.query()
     assert len(hits) == 1 and hits[0].price_hint == 55
-
-
-def test_unknown_role_is_invalid():
-    directory = MarketDirectory()
-    with pytest.raises(InvalidListing):
-        directory.register(Listing("x", "regulator", 1, 1))
-
-
-def test_roles_query_separately():
-    directory = MarketDirectory()
-    directory.register(Listing("alpine", ROLE_PROVIDER, 4, 10))
-    directory.register(Listing("broker-a", ROLE_BROKER, 0, 12))
-    directory.register(Listing("acme", ROLE_CONSUMER, 0, 0))
-    assert len(directory.query()) == 3
-    assert [l.participant_id for l in directory.query(role=ROLE_BROKER)] == ["broker-a"]
 
 
 # -- ledger --------------------------------------------------------------------------
@@ -347,7 +328,7 @@ def market_view(listings, last=None, capacity=100, funds=10**9, window=(10, 20))
 
 
 def provider_listing(name="alpine", hint=7):
-    return Listing(name, ROLE_PROVIDER, 50, hint)
+    return Listing(name, 50, hint)
 
 
 def test_profitable_request_is_engaged():
@@ -556,6 +537,10 @@ def test_overlapping_reservation_conflicts():
     book.reserve(dc, "broker-a", 10, 20, 4, 1, backing_sla="sla000001", machine_id="m0")
     with pytest.raises(ReservationConflict):
         book.reserve(dc, "broker-b", 15, 25, 1, 1, backing_sla="sla000002", machine_id="m0")
+    # a refused hold leaves no block and uses up no reservation id
+    assert len(dc.calendars["m0"].blocks) == 1
+    r = book.reserve(dc, "broker-b", 20, 25, 1, 1, backing_sla="sla000002", machine_id="m0")
+    assert r.reservation_id == "rsv000002"
 
 
 def test_reservation_requires_a_backing_sla():

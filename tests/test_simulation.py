@@ -1,9 +1,11 @@
 """End-to-end runs: determinism, conservation, and accounting identities."""
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from cloudmarket.datacenter import fleet_specs
 from cloudmarket.exchange import WORLD
 from cloudmarket.simulation import compare_modes, run_scenario
 from cloudmarket.workload import load_scenario
@@ -139,3 +141,36 @@ def test_market_run_settles_every_dispatched_sla(smoke_market):
     ]
     assert len(served) > 0
     assert len(settled) >= len(served)
+
+
+@pytest.mark.parametrize("mode", ["market", "system_centric"])
+@pytest.mark.parametrize("seed", [0, 1, 42])
+@pytest.mark.parametrize("name", ["smoke.yaml", "two_class.yaml", "util_pricing.yaml"])
+def test_every_provision_fires_once_within_capacity(name, seed, mode):
+    # provisions fire after the tick's releases, so none is deferred, and
+    # an in-order replay of the VM lifecycle never overloads a machine
+    scenario = load(name)
+    result = run_scenario(scenario, seed=seed, mode=mode)
+    capacity = {
+        machine_id: (cpu, mem)
+        for p in scenario.providers
+        for machine_id, cpu, mem in fleet_specs(p.provider_id, [
+            {"count": g.count, "cpu_capacity": g.cpu_capacity, "mem_capacity": g.mem_capacity}
+            for g in p.fleet
+        ])
+    }
+    used = {machine_id: [0, 0] for machine_id in capacity}
+    kinds = Counter()
+    for ev in result.trace.events:
+        kinds[ev.kind] += 1
+        assert "retries" not in ev.payload, ev
+        sign = {"vm_provision": 1, "vm_release": -1}.get(ev.kind)
+        if sign is None:
+            continue
+        machine = used[ev.payload["machine"]]
+        machine[0] += sign * ev.payload["cpu"]
+        machine[1] += sign * ev.payload["mem"]
+        cpu_cap, mem_cap = capacity[ev.payload["machine"]]
+        assert machine[0] <= cpu_cap and machine[1] <= mem_cap, ev
+    assert kinds["vm_provision"] > 0
+    assert kinds["provision_due"] == kinds["vm_provision"]
