@@ -7,12 +7,22 @@ its block, and the engine fires a tick's releases before its provisions,
 so the VMs a machine hosts fit its capacity too.  `provision_vm` checks
 that once more against the hosted VMs; a breach is a simulator bug and
 fails the run.
+
+A calendar keeps its committed usage as a step function over sorted
+breakpoints, the availability profile of conservative backfilling, so a
+capacity query bisects to its start instead of sweeping every block.
+The runs prune each calendar to the current tick; after that it holds
+no usage from before the prune point, and a query into that past raises
+`CapacityViolation` rather than answer from the truncated profile.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
+from operator import attrgetter
 
 from .engine import SimEngine
 from .money import ceil_div
@@ -68,13 +78,52 @@ class Block:
     owner: str
 
 
+_block_end = attrgetter("end")
+
+
 class MachineCalendar:
-    """Forward commitments for one machine, queried by interval sweeps."""
+    """Forward commitments for one machine, kept as a step function.
+
+    `blocks` records each commitment with its owner, ordered by end.
+    Beside it the calendar keeps the committed usage as a step function:
+    `_times` holds the sorted breakpoints, and `_cpu[i]`, `_mem[i]` the
+    usage over `[_times[i], _times[i+1])`.  Usage before the first
+    breakpoint and from the last one on is 0.  `add` splits the profile
+    at the block's start and end with `bisect` and adds the block's usage
+    to the segments between them, so every query bisects to its start and
+    walks only the segments it needs.
+
+    `prune(before)` drops the blocks and segments that end at or before
+    `before`.  The profile then holds no usage from before that point,
+    so a query that starts before the latest prune point raises
+    `CapacityViolation` instead of answering from the truncated profile.
+    """
 
     def __init__(self, cpu_capacity: int, mem_capacity: int):
         self.cpu_capacity = cpu_capacity
         self.mem_capacity = mem_capacity
         self.blocks: list[Block] = []
+        self._times: list[int] = []
+        self._cpu: list[int] = []
+        self._mem: list[int] = []
+        self._pruned_to: int | None = None
+
+    def _check_not_pruned(self, query: str, start: int) -> None:
+        if self._pruned_to is not None and start < self._pruned_to:
+            raise CapacityViolation(
+                f"{query} from t={start} asks for usage before t={self._pruned_to}, "
+                f"the point this calendar was pruned to"
+            )
+
+    def _split(self, t: int) -> int:
+        """Index of the breakpoint at t, inserting it if absent."""
+        times = self._times
+        i = bisect_left(times, t)
+        if i == len(times) or times[i] != t:
+            times.insert(i, t)
+            self._cpu.insert(i, self._cpu[i - 1] if i else 0)
+            self._mem.insert(i, self._mem[i - 1] if i else 0)
+        return i
 
     def add(self, block: Block) -> None:
         if not self.fits(block.start, block.end - block.start, block.cpu, block.mem):
@@ -82,38 +131,61 @@ class MachineCalendar:
                 f"commitment {block} exceeds capacity "
                 f"({self.cpu_capacity} cu, {self.mem_capacity} MB)"
             )
-        self.blocks.append(block)
+        insort(self.blocks, block, key=_block_end)
+        lo = self._split(block.start)
+        hi = self._split(block.end)
+        cpus, mems = self._cpu, self._mem
+        for i in range(lo, hi):
+            cpus[i] += block.cpu
+            mems[i] += block.mem
 
     def prune(self, before: int) -> None:
-        self.blocks = [b for b in self.blocks if b.end > before]
+        if self._pruned_to is not None and before <= self._pruned_to:
+            return
+        self._pruned_to = before
+        del self.blocks[:bisect_right(self.blocks, before, key=_block_end)]
+        # keep the segment that holds `before`; drop every one ending at or before it
+        drop = bisect_right(self._times, before) - 1
+        if drop > 0:
+            del self._times[:drop]
+            del self._cpu[:drop]
+            del self._mem[:drop]
 
     def usage_at(self, t: int) -> tuple[int, int]:
-        cpu = sum(b.cpu for b in self.blocks if b.start <= t < b.end)
-        mem = sum(b.mem for b in self.blocks if b.start <= t < b.end)
-        return cpu, mem
+        self._check_not_pruned("usage_at", t)
+        i = bisect_right(self._times, t) - 1
+        if i < 0:
+            return 0, 0
+        return self._cpu[i], self._mem[i]
+
+    def committed_cu_ticks(self, start: int, end: int) -> int:
+        """Committed cpu-ticks over [start, end)."""
+        self._check_not_pruned("committed_cu_ticks", start)
+        times, cpus = self._times, self._cpu
+        i = max(bisect_right(times, start) - 1, 0)
+        used = 0
+        for i in range(i, len(times) - 1):
+            lo = max(times[i], start)
+            if lo >= end:
+                break
+            used += cpus[i] * (min(times[i + 1], end) - lo)
+        return used
 
     def fits(self, start: int, duration: int, cpu: int, mem: int) -> bool:
         """True if adding (cpu, mem) over [start, start+duration) stays in capacity."""
+        self._check_not_pruned("fits", start)
         if cpu > self.cpu_capacity or mem > self.mem_capacity:
             return False
         if duration <= 0:
             return True
         end = start + duration
-        deltas: dict[int, tuple[int, int]] = {}
-        for b in self.blocks:
-            lo, hi = max(b.start, start), min(b.end, end)
-            if lo >= hi:
-                continue
-            dc, dm = deltas.get(lo, (0, 0))
-            deltas[lo] = (dc + b.cpu, dm + b.mem)
-            dc, dm = deltas.get(hi, (0, 0))
-            deltas[hi] = (dc - b.cpu, dm - b.mem)
-        used_cpu = used_mem = 0
-        for t in sorted(deltas):
-            dc, dm = deltas[t]
-            used_cpu += dc
-            used_mem += dm
-            if t < end and (used_cpu + cpu > self.cpu_capacity or used_mem + mem > self.mem_capacity):
+        cpu_room = self.cpu_capacity - cpu
+        mem_room = self.mem_capacity - mem
+        times, cpus, mems = self._times, self._cpu, self._mem
+        for i in range(max(bisect_right(times, start) - 1, 0), len(times)):
+            if times[i] >= end:
+                break
+            if cpus[i] > cpu_room or mems[i] > mem_room:
                 return False
         return True
 
@@ -127,50 +199,37 @@ class MachineCalendar:
     ) -> int | None:
         """Earliest start in [earliest_start, latest_start] where the slice fits.
 
-        Usage only drops at block ends, so the answer is either
-        earliest_start itself or some block's end time.  One sweep over
-        the boundary points finds the first feasible span of the needed
-        length; everything past the last commitment is free.
+        Usage changes only at breakpoints, so the answer is either
+        earliest_start itself or a breakpoint.  A first-fit walk over the
+        segments from earliest_start finds the first feasible run of the
+        needed length; the last segment is free and never ends.
         """
+        self._check_not_pruned("earliest_fit", earliest_start)
         if latest_start < earliest_start or duration <= 0:
             return None
         if cpu > self.cpu_capacity or mem > self.mem_capacity:
             return None
-        deltas: dict[int, list[int]] = {earliest_start: [0, 0]}
-        for b in self.blocks:
-            if b.end <= earliest_start:
-                continue
-            lo = max(b.start, earliest_start)
-            d = deltas.setdefault(lo, [0, 0])
-            d[0] += b.cpu
-            d[1] += b.mem
-            d = deltas.setdefault(b.end, [0, 0])
-            d[0] -= b.cpu
-            d[1] -= b.mem
-        used_cpu = used_mem = 0
+        cpu_room = self.cpu_capacity - cpu
+        mem_room = self.mem_capacity - mem
+        times, cpus, mems = self._times, self._cpu, self._mem
+        i = bisect_right(times, earliest_start)
         run_start: int | None = earliest_start
-        prev = earliest_start
-        for point in sorted(deltas):
-            if point > prev:
-                # segment [prev, point) carries the accumulated usage
-                feasible = (used_cpu + cpu <= self.cpu_capacity
-                            and used_mem + mem <= self.mem_capacity)
-                if feasible:
-                    if run_start is None:
-                        run_start = prev
-                    if run_start + duration <= point:
-                        return run_start if run_start <= latest_start else None
-                else:
-                    run_start = None
-                    if prev > latest_start:
-                        return None
-            dc, dm = deltas[point]
-            used_cpu += dc
-            used_mem += dm
-            prev = point
-        if run_start is None:
-            run_start = prev
-        return run_start if run_start <= latest_start else None
+        if i and (cpus[i - 1] > cpu_room or mems[i - 1] > mem_room):
+            run_start = None
+        for point, used_cpu, used_mem in zip(
+            islice(times, i, None), islice(cpus, i, None), islice(mems, i, None),
+        ):
+            if run_start is None:
+                # every run from here on starts too late
+                if point > latest_start:
+                    return None
+                if used_cpu <= cpu_room and used_mem <= mem_room:
+                    run_start = point
+            elif run_start + duration <= point:
+                return run_start
+            elif used_cpu > cpu_room or used_mem > mem_room:
+                run_start = None
+        return run_start
 
 
 class Datacenter:
@@ -216,14 +275,10 @@ class Datacenter:
 
     def free_cu_ticks(self, start: int, end: int) -> int:
         """Uncommitted cpu-ticks over [start, end) across the fleet."""
-        free = 0
-        for cal in self.calendars.values():
-            free += cal.cpu_capacity * (end - start)
-            for b in cal.blocks:
-                overlap = min(b.end, end) - max(b.start, start)
-                if overlap > 0:
-                    free -= b.cpu * overlap
-        return free
+        return sum(
+            cal.cpu_capacity * (end - start) - cal.committed_cu_ticks(start, end)
+            for cal in self.calendars.values()
+        )
 
     # -- lifecycle ---------------------------------------------------------
 

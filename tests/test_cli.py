@@ -10,6 +10,7 @@ import yaml
 
 from cloudmarket.allocator import REJECT_CAPACITY, Reject, SlaAllocator
 from cloudmarket.cli import main
+from cloudmarket.exchange import ReservationBook
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMOKE = str(SCENARIOS / "smoke.yaml")
@@ -136,6 +137,20 @@ def test_rejected_backed_admission_exits_four_and_names_the_request(
     assert code == 4
     err = capsys.readouterr().err
     assert refused and refused[0] in err
+
+
+def test_query_before_the_prune_point_exits_four_and_names_it(
+        tmp_path, monkeypatch, capsys):
+    real_find_slot = ReservationBook.find_slot
+
+    def find_slot_in_the_past(self, datacenter, earliest, *args):
+        return real_find_slot(self, datacenter, earliest - 2, *args)
+
+    monkeypatch.setattr(ReservationBook, "find_slot", find_slot_in_the_past)
+    code = main(["--scenario", SMOKE, "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "earliest_fit from t=" in err and "before t=" in err
 
 
 def test_trace_off_suppresses_the_log(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cloudmarket.datacenter import (
     AlreadyStopped,
@@ -347,3 +348,238 @@ def test_free_cu_ticks_matches_per_segment_sum():
         start = rng.randint(0, 70)
         end = start + rng.randint(0, 30)
         assert dc.free_cu_ticks(start, end) == _per_segment_free_cu_ticks(dc, start, end), case
+
+
+def test_prune_makes_earlier_queries_fail_loudly():
+    cal = MachineCalendar(4, 16)
+    cal.add(Block(0, 20, 2, 4, owner="a"))
+    cal.prune(before=10)
+    assert cal.usage_at(10) == (2, 4)
+    assert cal.fits(10, 5, 2, 12)
+    assert cal.earliest_fit(10, 30, 5, 3, 1) == 20
+    for query in (
+        lambda: cal.usage_at(9),
+        lambda: cal.fits(9, 5, 1, 1),
+        lambda: cal.earliest_fit(9, 30, 5, 1, 1),
+        lambda: cal.committed_cu_ticks(9, 12),
+        lambda: cal.add(Block(9, 15, 1, 1, owner="late")),
+    ):
+        with pytest.raises(CapacityViolation, match="from t=9 asks for usage before t=10"):
+            query()
+    # a prune to an earlier point keeps the later one
+    cal.prune(before=3)
+    with pytest.raises(CapacityViolation, match="t=10"):
+        cal.usage_at(9)
+    assert [b.owner for b in cal.blocks] == ["a"]
+
+
+# -- step-function calendar against the interval-sweep calendar ------------------
+
+
+class ReferenceCalendar:
+    """The interval-sweep calendar the step function replaced, kept as the oracle."""
+
+    def __init__(self, cpu_capacity: int, mem_capacity: int):
+        self.cpu_capacity = cpu_capacity
+        self.mem_capacity = mem_capacity
+        self.blocks: list[Block] = []
+
+    def add(self, block: Block) -> None:
+        if not self.fits(block.start, block.end - block.start, block.cpu, block.mem):
+            raise CapacityViolation(
+                f"commitment {block} exceeds capacity "
+                f"({self.cpu_capacity} cu, {self.mem_capacity} MB)"
+            )
+        self.blocks.append(block)
+
+    def prune(self, before: int) -> None:
+        self.blocks = [b for b in self.blocks if b.end > before]
+
+    def usage_at(self, t: int) -> tuple[int, int]:
+        cpu = sum(b.cpu for b in self.blocks if b.start <= t < b.end)
+        mem = sum(b.mem for b in self.blocks if b.start <= t < b.end)
+        return cpu, mem
+
+    def fits(self, start: int, duration: int, cpu: int, mem: int) -> bool:
+        """True if adding (cpu, mem) over [start, start+duration) stays in capacity."""
+        if cpu > self.cpu_capacity or mem > self.mem_capacity:
+            return False
+        if duration <= 0:
+            return True
+        end = start + duration
+        deltas: dict[int, tuple[int, int]] = {}
+        for b in self.blocks:
+            lo, hi = max(b.start, start), min(b.end, end)
+            if lo >= hi:
+                continue
+            dc, dm = deltas.get(lo, (0, 0))
+            deltas[lo] = (dc + b.cpu, dm + b.mem)
+            dc, dm = deltas.get(hi, (0, 0))
+            deltas[hi] = (dc - b.cpu, dm - b.mem)
+        used_cpu = used_mem = 0
+        for t in sorted(deltas):
+            dc, dm = deltas[t]
+            used_cpu += dc
+            used_mem += dm
+            if t < end and (used_cpu + cpu > self.cpu_capacity or used_mem + mem > self.mem_capacity):
+                return False
+        return True
+
+    def earliest_fit(
+        self,
+        earliest_start: int,
+        latest_start: int,
+        duration: int,
+        cpu: int,
+        mem: int,
+    ) -> int | None:
+        """Earliest start in [earliest_start, latest_start] where the slice fits.
+
+        Usage only drops at block ends, so the answer is either
+        earliest_start itself or some block's end time.  One sweep over
+        the boundary points finds the first feasible span of the needed
+        length; everything past the last commitment is free.
+        """
+        if latest_start < earliest_start or duration <= 0:
+            return None
+        if cpu > self.cpu_capacity or mem > self.mem_capacity:
+            return None
+        deltas: dict[int, list[int]] = {earliest_start: [0, 0]}
+        for b in self.blocks:
+            if b.end <= earliest_start:
+                continue
+            lo = max(b.start, earliest_start)
+            d = deltas.setdefault(lo, [0, 0])
+            d[0] += b.cpu
+            d[1] += b.mem
+            d = deltas.setdefault(b.end, [0, 0])
+            d[0] -= b.cpu
+            d[1] -= b.mem
+        used_cpu = used_mem = 0
+        run_start: int | None = earliest_start
+        prev = earliest_start
+        for point in sorted(deltas):
+            if point > prev:
+                # segment [prev, point) carries the accumulated usage
+                feasible = (used_cpu + cpu <= self.cpu_capacity
+                            and used_mem + mem <= self.mem_capacity)
+                if feasible:
+                    if run_start is None:
+                        run_start = prev
+                    if run_start + duration <= point:
+                        return run_start if run_start <= latest_start else None
+                else:
+                    run_start = None
+                    if prev > latest_start:
+                        return None
+            dc, dm = deltas[point]
+            used_cpu += dc
+            used_mem += dm
+            prev = point
+        if run_start is None:
+            run_start = prev
+        return run_start if run_start <= latest_start else None
+
+
+def reference_free_cu_ticks(calendars, start, end):
+    """Uncommitted cpu-ticks over [start, end) across the fleet."""
+    free = 0
+    for cal in calendars:
+        free += cal.cpu_capacity * (end - start)
+        for b in cal.blocks:
+            overlap = min(b.end, end) - max(b.start, start)
+            if overlap > 0:
+                free -= b.cpu * overlap
+    return free
+
+
+@st.composite
+def calendar_runs(draw):
+    """A machine and a sequence of calendar operations on it.
+
+    Times are offsets from the latest prune point, so no query reaches into
+    the pruned past; small capacities and short spans make blocks collide
+    often, and a size one past capacity is refused outright.
+    """
+    cpu_capacity, mem_capacity = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    offset = st.integers(0, 12)
+    cpu, mem = st.integers(0, cpu_capacity + 1), st.integers(0, mem_capacity + 1)
+    add = st.tuples(st.just("add"), offset, st.integers(0, 6), cpu, mem)
+    ops = st.one_of(
+        add, add, add,
+        st.tuples(st.just("prune"), st.integers(0, 6)),
+        st.tuples(st.just("fits"), offset, st.integers(-1, 8), cpu, mem),
+        st.tuples(st.just("earliest_fit"), offset, st.integers(-2, 20), st.integers(-1, 8), cpu, mem),
+        st.tuples(st.just("free_cu_ticks"), offset, st.integers(-1, 15)),
+    )
+    return cpu_capacity, mem_capacity, draw(st.lists(ops, min_size=4, max_size=40))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(run=calendar_runs())
+# abutting blocks that fill the machine, the later one added first, then a
+# fit right at their seam
+@example(run=(2, 4, [
+    ("add", 3, 3, 2, 4), ("add", 0, 3, 2, 4), ("fits", 2, 2, 1, 1),
+    ("earliest_fit", 0, 10, 2, 1, 1), ("free_cu_ticks", 0, 8),
+]))
+# zero-cpu and zero-mem blocks: each resource alone decides
+@example(run=(3, 5, [
+    ("add", 1, 4, 0, 5), ("add", 2, 4, 3, 0), ("add", 2, 2, 1, 1),
+    ("earliest_fit", 0, 10, 2, 1, 0), ("earliest_fit", 0, 10, 2, 0, 1),
+    ("fits", 0, 3, 0, 0), ("free_cu_ticks", 0, 10),
+]))
+# a memory-bound machine: cpu is free but memory refuses, also on add
+@example(run=(4, 4, [
+    ("add", 0, 6, 1, 3), ("add", 2, 2, 1, 2), ("fits", 1, 2, 1, 2),
+    ("earliest_fit", 0, 10, 3, 1, 2), ("prune", 1), ("earliest_fit", 0, 10, 3, 1, 1),
+]))
+# latest_start inside a busy run: refused although a slot opens after it
+@example(run=(2, 2, [
+    ("add", 0, 4, 2, 1), ("add", 4, 4, 2, 1), ("earliest_fit", 1, 5, 2, 1, 1),
+    ("earliest_fit", 1, 7, 2, 1, 1), ("prune", 3), ("earliest_fit", 0, 4, 3, 1, 1),
+    ("add", 0, 2, 1, 1), ("add", 5, 1, 1, 1), ("free_cu_ticks", 0, 12),
+]))
+def test_step_function_calendar_matches_interval_sweeps(run):
+    cpu_capacity, mem_capacity, ops = run
+    _, _, dc = make_dc([("m", cpu_capacity, mem_capacity)])
+    cal, ref = dc.calendars["m"], ReferenceCalendar(cpu_capacity, mem_capacity)
+    floor = 0
+
+    def profile(calendar):
+        return [calendar.usage_at(t) for t in range(floor, floor + 24)]
+
+    for n, op in enumerate(ops):
+        kind, args = op[0], op[1:]
+        if kind == "add":
+            offset, length, cpu, mem = args
+            block = Block(floor + offset, floor + offset + length, cpu, mem, owner=f"b{n}")
+            try:
+                ref.add(block)
+            except CapacityViolation:
+                before = profile(cal)
+                with pytest.raises(CapacityViolation):
+                    cal.add(block)
+                assert profile(cal) == before, op
+            else:
+                cal.add(block)
+        elif kind == "prune":
+            floor += args[0]
+            cal.prune(floor)
+            ref.prune(floor)
+        elif kind == "fits":
+            offset, duration, cpu, mem = args
+            got = cal.fits(floor + offset, duration, cpu, mem)
+            assert got == ref.fits(floor + offset, duration, cpu, mem), op
+        elif kind == "earliest_fit":
+            offset, span, duration, cpu, mem = args
+            start = floor + offset
+            got = cal.earliest_fit(start, start + span, duration, cpu, mem)
+            assert got == ref.earliest_fit(start, start + span, duration, cpu, mem), op
+        else:
+            offset, span = args
+            start = floor + offset
+            got = dc.free_cu_ticks(start, start + span)
+            assert got == reference_free_cu_ticks([ref], start, start + span), op
+        assert cal.blocks == sorted(ref.blocks, key=lambda b: b.end), op
+        assert profile(cal) == profile(ref), op
