@@ -1,4 +1,4 @@
-"""SLA-driven admission control, pricing quotes, and usage accounting.
+"""SLA-driven admission control and pricing quotes.
 
 The examiner either rejects a request with the most fundamental reason
 that applies (deadline before budget before capacity) or accepts it and
@@ -8,7 +8,7 @@ by later admissions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .datacenter import Block, Datacenter
@@ -18,22 +18,6 @@ from .money import Money, as_fraction, ceil_div, round_half_up
 REJECT_DEADLINE = "DeadlineInfeasible"
 REJECT_BUDGET = "BudgetInfeasible"
 REJECT_CAPACITY = "CapacityUnavailable"
-
-
-class UnknownRequest(Exception):
-    pass
-
-
-class OverlappingInterval(Exception):
-    """Metering the same request twice over intersecting ticks."""
-
-
-class RequestNotFinished(Exception):
-    """finalize_charge before the request completed."""
-
-
-class AlreadyFinalized(Exception):
-    pass
 
 
 class InvalidPolicy(Exception):
@@ -155,39 +139,8 @@ def quote(
     return round_half_up(exact)
 
 
-# -- accounting ---------------------------------------------------------------
-
-@dataclass
-class MeterRecord:
-    start: int
-    end: int
-    cpu: int
-
-    @property
-    def usage(self) -> int:
-        return (self.end - self.start) * self.cpu
-
-
-@dataclass(frozen=True)
-class Invoice:
-    request_id: str
-    amount: Money
-    line_items: tuple[tuple[int, int, int], ...]  # (start, end, cu_ticks)
-    usage: int
-    volume: int
-    finalized_at: int
-
-
-@dataclass
-class _RequestTrack:
-    request: ServiceRequest
-    plan: AllocationPlan
-    meters: list[MeterRecord] = field(default_factory=list)
-    completed_at: int | None = None
-
-
 class SlaAllocator:
-    """Admission examiner plus the accounting books for one provider."""
+    """Admission examiner for one provider."""
 
     def __init__(
         self,
@@ -202,8 +155,6 @@ class SlaAllocator:
         self.pricing = pricing
         self.reliability_class = reliability_class
         self.security_class = security_class
-        self.tracks: dict[str, _RequestTrack] = {}
-        self.invoices: dict[str, Invoice] = {}
 
     # -- admission -----------------------------------------------------------
 
@@ -228,8 +179,6 @@ class SlaAllocator:
         decision = self._examine_inner(
             request, at, backing, agreed_price, enforce_deadline, horizon
         )
-        if isinstance(decision, Accept):
-            self.tracks[request.request_id] = _RequestTrack(request, decision.plan)
         payload = {
             "provider": self.datacenter.provider_id,
             "request_id": request.request_id,
@@ -294,15 +243,12 @@ class SlaAllocator:
             latest_start = qos.deadline - runtime - boot
         else:
             latest_start = (horizon if horizon is not None else qos.deadline * 4) - runtime - boot
-        best: tuple[int, str] | None = None
-        for machine_id in sorted(self.datacenter.machines):
-            cal = self.datacenter.calendars[machine_id]
-            start = cal.earliest_fit(at, latest_start, boot + runtime, qos.cpu_need, qos.mem_need)
-            if start is not None and (best is None or start < best[0]):
-                best = (start, machine_id)
-        if best is None:
+        slot = self.datacenter.earliest_slot(
+            at, latest_start, boot + runtime, qos.cpu_need, qos.mem_need,
+        )
+        if slot is None:
             return Reject(REJECT_CAPACITY, "no machine has a feasible slot")
-        vm_start, machine_id = best
+        machine_id, vm_start = slot
         plan = AllocationPlan(
             request.request_id, machine_id, vm_start,
             vm_start + boot, vm_start + boot + runtime, price,
@@ -320,50 +266,3 @@ class SlaAllocator:
             request.submit_time,
             self.datacenter.utilization_at(at),
         )
-
-    def _track(self, request_id: str) -> _RequestTrack:
-        track = self.tracks.get(request_id)
-        if track is None:
-            raise UnknownRequest(request_id)
-        return track
-
-    # -- request lifecycle markers ------------------------------------------------
-
-    def mark_completed(self, request_id: str, at: int) -> None:
-        self._track(request_id).completed_at = at
-
-    # -- metering --------------------------------------------------------------
-
-    def meter(self, request_id: str, start: int, end: int, cpu: int) -> int:
-        """Record measured usage; returns the accumulated cu-ticks."""
-        track = self._track(request_id)
-        if end <= start or cpu < 0:
-            raise ValueError(f"bad meter interval [{start}, {end}) x {cpu}")
-        for rec in track.meters:
-            if start < rec.end and rec.start < end:
-                raise OverlappingInterval(
-                    f"{request_id}: [{start}, {end}) overlaps [{rec.start}, {rec.end})"
-                )
-        track.meters.append(MeterRecord(start, end, cpu))
-        return self.usage(request_id)
-
-    def usage(self, request_id: str) -> int:
-        return sum(rec.usage for rec in self._track(request_id).meters)
-
-    def finalize_charge(self, request_id: str, at: int) -> Invoice:
-        """Close the books of a completed request at its planned price."""
-        track = self._track(request_id)
-        if request_id in self.invoices:
-            raise AlreadyFinalized(request_id)
-        if track.completed_at is None:
-            raise RequestNotFinished(request_id)
-        invoice = Invoice(
-            request_id=request_id,
-            amount=track.plan.price,
-            line_items=tuple((r.start, r.end, r.usage) for r in track.meters),
-            usage=self.usage(request_id),
-            volume=track.request.workload_volume,
-            finalized_at=at,
-        )
-        self.invoices[request_id] = invoice
-        return invoice

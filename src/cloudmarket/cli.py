@@ -21,6 +21,7 @@ from .metrics import CrossCheckFailure, OutOfOrderEvent, REQUEST_CSV_FIELDS, rep
 from .simulation import (
     BackedAdmissionRejected,
     RunResult,
+    UnexpectedCompletion,
     compare_modes,
     run_scenario,
 )
@@ -42,6 +43,7 @@ OUT_DIR_ENV = "CLOUDMARKET_OUT"
 INVARIANT_ERRORS = (
     CapacityViolation, InsufficientCapacity, ConservationError,
     CrossCheckFailure, OutOfOrderEvent, BackedAdmissionRejected,
+    UnexpectedCompletion,
 )
 
 

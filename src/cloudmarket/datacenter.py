@@ -280,6 +280,19 @@ class Datacenter:
             for cal in self.calendars.values()
         )
 
+    def earliest_slot(
+        self, earliest: int, latest_start: int, duration: int, cpu: int, mem: int,
+    ) -> tuple[str, int] | None:
+        """Earliest (machine, start) able to host the block, ties by machine id."""
+        best: tuple[str, int] | None = None
+        for machine_id in sorted(self.machines):
+            start = self.calendars[machine_id].earliest_fit(
+                earliest, latest_start, duration, cpu, mem,
+            )
+            if start is not None and (best is None or start < best[1]):
+                best = (machine_id, start)
+        return best
+
     # -- lifecycle ---------------------------------------------------------
 
     def provision_vm(

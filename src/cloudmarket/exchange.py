@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .datacenter import Block, CapacityViolation, Datacenter
+from .datacenter import Block, Datacenter
 from .money import Money, round_half_up
 from .negotiation import Sla
 
@@ -40,10 +40,6 @@ class InvalidPolicy(Exception):
     pass
 
 
-class ReservationConflict(Exception):
-    """The requested window would exceed committed capacity."""
-
-
 class AlreadySettled(Exception):
     pass
 
@@ -57,7 +53,6 @@ class ConservationError(Exception):
 @dataclass
 class Listing:
     participant_id: str
-    capacity: int  # offered cpu capacity
     price_hint: Money  # advisory price per cpu-tick
 
 
@@ -70,14 +65,11 @@ class MarketDirectory:
 
     def __init__(self) -> None:
         self.listings: dict[str, Listing] = {}
-        self._seq = 0
 
-    def register(self, listing: Listing) -> str:
-        if listing.capacity < 0 or listing.price_hint < 0:
-            raise InvalidListing("capacity and price_hint must be >= 0")
-        self._seq += 1
+    def register(self, listing: Listing) -> None:
+        if listing.price_hint < 0:
+            raise InvalidListing("price_hint must be >= 0")
         self.listings[listing.participant_id] = listing
-        return f"lst{self._seq:06d}"
 
     def update_price_hint(self, participant_id: str, price_hint: Money) -> None:
         if participant_id not in self.listings:
@@ -498,29 +490,16 @@ def broker_decide(
 
 # -- advance reservations ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Reservation:
-    reservation_id: str
-    provider_id: str
-    holder_id: str
-    machine_id: str
-    start: int
-    end: int
-    cpu: int
-    mem: int
-    backing_sla: str
-
-
 class ReservationBook:
     """Advance capacity holds, pinned to a specific machine's calendar.
 
     Granted reservations are never revoked; per-tick reserved capacity
     can never exceed the provider's, because every hold occupies a
-    machine calendar that enforces it.
+    machine calendar that enforces it.  The calendars record every hold,
+    so the book keeps only its id counter.
     """
 
     def __init__(self) -> None:
-        self.reservations: dict[str, Reservation] = {}
         self._seq = 0
 
     def find_slot(
@@ -533,43 +512,24 @@ class ReservationBook:
         mem: int,
     ) -> tuple[str, int] | None:
         """Earliest (machine, start) able to host the block, ties by machine id."""
-        best: tuple[int, str] | None = None
-        for machine_id in sorted(datacenter.machines):
-            cal = datacenter.calendars[machine_id]
-            start = cal.earliest_fit(earliest, latest_start, duration, cpu, mem)
-            if start is not None and (best is None or start < best[0]):
-                best = (start, machine_id)
-        if best is None:
-            return None
-        return best[1], best[0]
+        return datacenter.earliest_slot(earliest, latest_start, duration, cpu, mem)
 
     def reserve(
         self,
         datacenter: Datacenter,
-        holder_id: str,
         start: int,
         end: int,
         cpu: int,
         mem: int,
-        backing_sla: str,
         machine_id: str,
-    ) -> Reservation:
-        if not backing_sla:
-            raise ReservationConflict("a reservation must name its backing SLA")
+    ) -> str:
+        """Hold [start, end) on one machine; a refusal raises `CapacityViolation`."""
         reservation_id = f"rsv{self._seq + 1:06d}"
-        try:
-            datacenter.calendars[machine_id].add(
-                Block(start, end, cpu, mem, owner=reservation_id),
-            )
-        except CapacityViolation as exc:
-            raise ReservationConflict(f"{machine_id} cannot hold [{start}, {end})") from exc
-        self._seq += 1
-        reservation = Reservation(
-            reservation_id, datacenter.provider_id, holder_id, machine_id,
-            start, end, cpu, mem, backing_sla,
+        datacenter.calendars[machine_id].add(
+            Block(start, end, cpu, mem, owner=reservation_id),
         )
-        self.reservations[reservation_id] = reservation
-        return reservation
+        self._seq += 1
+        return reservation_id
 
 
 # -- SLA settlement ------------------------------------------------------------------

@@ -56,9 +56,6 @@ class NegotiationTerms:
     max_rounds: int
     schedule: ConcessionSchedule = field(default_factory=ConcessionSchedule)
     party_id: str = ""
-    # window and capacity are matched constraints, not bargained dimensions
-    window: tuple[int, int] | None = None
-    capacity: int | None = None
 
     def __post_init__(self) -> None:
         if self.role not in (BUYER, SELLER):
@@ -107,27 +104,22 @@ Outcome = Agreement | BrokeOff
 
 
 class NegotiationSession:
-    """One bilateral session.  step() plays a single proposal and response."""
+    """One bilateral session.  step() plays a single proposal and response.
+
+    The buyer proposes in odd rounds and the seller in even ones.
+    """
 
     def __init__(
         self,
         buyer: NegotiationTerms,
         seller: NegotiationTerms,
-        first_mover: str = BUYER,
         engine: SimEngine | None = None,
         session_id: str = "",
     ):
         if buyer.role != BUYER or seller.role != SELLER:
             raise InvalidTerms("pass terms with matching roles")
-        if first_mover not in (BUYER, SELLER):
-            raise InvalidTerms(f"first_mover must be buyer or seller, got {first_mover!r}")
-        if buyer.window != seller.window:
-            raise InvalidTerms("desired windows must match; only price is bargained")
-        if buyer.capacity != seller.capacity:
-            raise InvalidTerms("capacities must match; only price is bargained")
         self.buyer = buyer
         self.seller = seller
-        self.first_mover = first_mover
         self.engine = engine
         self.session_id = session_id
         self.effective_rounds = min(buyer.max_rounds, seller.max_rounds)
@@ -137,11 +129,6 @@ class NegotiationSession:
         if self.effective_rounds == 0:
             self.outcome = BrokeOff(BROKE_OFF_NO_ROUNDS, 0, 0)
             self._emit_outcome()
-
-    def _actor_at(self, round_index: int) -> str:
-        if round_index % 2 == 1:
-            return self.first_mover
-        return SELLER if self.first_mover == BUYER else BUYER
 
     def _terms(self, actor: str) -> NegotiationTerms:
         return self.buyer if actor == BUYER else self.seller
@@ -171,7 +158,7 @@ class NegotiationSession:
         if self.outcome is not None:
             raise SessionTerminated(self.session_id or "<session>")
         self._round += 1
-        actor = self._actor_at(self._round)
+        actor = BUYER if self._round % 2 == 1 else SELLER
         price = self._terms(actor).offer_at(self._round, self.effective_rounds)
         offer = Offer(self._round, actor, price)
         self.transcript.append(offer)
@@ -206,25 +193,13 @@ class NegotiationSession:
         self.engine.emit("negotiation_outcome", payload)
 
 
-def open_session(
-    buyer: NegotiationTerms,
-    seller: NegotiationTerms,
-    first_mover: str = BUYER,
-    engine: SimEngine | None = None,
-    session_id: str = "",
-) -> NegotiationSession:
-    return NegotiationSession(buyer, seller, first_mover, engine, session_id)
-
-
 def negotiate_price(
     buyer: NegotiationTerms,
     seller: NegotiationTerms,
-    first_mover: str = BUYER,
     engine: SimEngine | None = None,
     session_id: str = "",
 ) -> Outcome:
-    session = open_session(buyer, seller, first_mover, engine, session_id)
-    return session.run_to_completion()
+    return NegotiationSession(buyer, seller, engine, session_id).run_to_completion()
 
 
 # -- service level agreements -------------------------------------------------

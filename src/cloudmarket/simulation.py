@@ -69,6 +69,10 @@ class BackedAdmissionRejected(Exception):
     """A provider's examiner refused a request whose slot was already reserved."""
 
 
+class UnexpectedCompletion(Exception):
+    """A completion fired for a request that holds no open commitment."""
+
+
 def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(dump_scenario(scenario).encode("utf-8")).hexdigest()
 
@@ -89,7 +93,6 @@ class _Provider:
     datacenter: Datacenter
     allocator: SlaAllocator
     price_policy: VariablePrice
-    posted_price: Money
 
 
 @dataclass
@@ -100,7 +103,6 @@ class _Commitment:
     sla_consumer: Sla
     sla_procure: Sla | None
     machine_id: str
-    vm_start: int
 
 
 @dataclass
@@ -154,8 +156,7 @@ class _Run:
                 demand_coefficient=p.market.demand_coefficient,
                 cost_floor=p.market.cost_floor,
             )
-            posted = provider_set_price(policy, Fraction(0), Fraction(1))
-            self.providers[p.provider_id] = _Provider(p, dc, allocator, policy, posted)
+            self.providers[p.provider_id] = _Provider(p, dc, allocator, policy)
             self.ledger.open_account(p.provider_id)
             self.funded[p.provider_id] = 0
 
@@ -184,11 +185,11 @@ class _Run:
         self.reservations = ReservationBook()
         self.demand_index = Fraction(1)
         self.last_clearing_price: Money | None = None
+        # the directory's listings are the one record of posted prices
         for provider_id, prov in self.providers.items():
             self.directory.register(Listing(
                 participant_id=provider_id,
-                capacity=prov.datacenter.total_cpu_capacity,
-                price_hint=prov.posted_price,
+                price_hint=provider_set_price(prov.price_policy, Fraction(0), Fraction(1)),
             ))
 
     # -- money helpers -----------------------------------------------------------
@@ -249,15 +250,15 @@ class _Run:
     def on_completion(self, event) -> None:
         p = event.payload
         request_id = p["request_id"]
-        commit = self.committed.pop(request_id)
         now = self.engine.clock
+        commit = self.committed.pop(request_id, None)
+        if commit is None:
+            raise UnexpectedCompletion(
+                f"{request_id} completed at t={now} with no open commitment"
+            )
         prov = self.providers[commit.provider_id]
         request = commit.request
-
-        prov.allocator.meter(request_id, p["start"], now, request.qos.cpu_need)
-        prov.allocator.mark_completed(request_id, now)
-        invoice = prov.allocator.finalize_charge(request_id, now)
-        self.delivered_cu[commit.provider_id] += invoice.usage
+        self.delivered_cu[commit.provider_id] += (now - p["start"]) * request.qos.cpu_need
 
         consumer_settlement = self._settle(
             commit.sla_consumer, now, now, kind="consumer",
@@ -390,8 +391,7 @@ class _BaselineRun(_Run):
                     penalty=self.penalty,
                 )
                 self.committed[request.request_id] = _Commitment(
-                    request, provider_id, None, sla, None,
-                    plan.machine_id, plan.vm_start,
+                    request, provider_id, None, sla, None, plan.machine_id,
                 )
                 self.engine.schedule("provision_due", {
                     "request_id": request.request_id, "provider": provider_id,
@@ -467,14 +467,14 @@ class _MarketRun(_Run):
     def _post_provider_prices(self, now: int) -> None:
         for provider_id in sorted(self.providers):
             prov = self.providers[provider_id]
-            prov.posted_price = provider_set_price(
+            price = provider_set_price(
                 prov.price_policy,
                 prov.datacenter.utilization_at(now),
                 self.demand_index,
             )
-            self.directory.update_price_hint(provider_id, prov.posted_price)
+            self.directory.update_price_hint(provider_id, price)
             self.engine.emit("posted_price", {
-                "provider": provider_id, "price": prov.posted_price,
+                "provider": provider_id, "price": price,
                 "demand_index": str(self.demand_index),
             })
 
@@ -613,21 +613,19 @@ class _MarketRun(_Run):
             return False
         machine_id, start = slot
         end = start + duration
-        procure_id = self._next_sla_id("bp")
-        reservation = self.reservations.reserve(
-            prov.datacenter, broker_id, start, end,
-            request.qos.cpu_need, request.qos.mem_need,
-            backing_sla=procure_id, machine_id=machine_id,
+        reservation_id = self.reservations.reserve(
+            prov.datacenter, start, end,
+            request.qos.cpu_need, request.qos.mem_need, machine_id,
         )
         self.engine.emit("reservation", {
-            "reservation_id": reservation.reservation_id,
+            "reservation_id": reservation_id,
             "provider": provider_id, "machine": machine_id,
             "start": start, "end": end,
             "cpu": request.qos.cpu_need, "mem": request.qos.mem_need,
             "request_id": request.request_id, "holder": broker_id,
         })
         sla_procure = Sla(
-            sla_id=procure_id,
+            sla_id=self._next_sla_id("bp"),
             buyer=broker_id,
             seller=provider_id,
             request_id=request.request_id,
@@ -661,8 +659,7 @@ class _MarketRun(_Run):
                 f"on {machine_id} [{start}, {end}): {decision.reason} ({decision.detail})"
             )
         self.committed[request.request_id] = _Commitment(
-            request, provider_id, broker_id, sla_consumer, sla_procure,
-            machine_id, start,
+            request, provider_id, broker_id, sla_consumer, sla_procure, machine_id,
         )
         self.engine.schedule("provision_due", {
             "request_id": request.request_id, "provider": provider_id,
@@ -684,11 +681,13 @@ class _MarketRun(_Run):
             )
             if spendable <= 0:
                 continue
+            listings = self.directory.listings
             provider_id = min(
                 self.providers,
-                key=lambda pid: (self.providers[pid].posted_price, pid),
+                key=lambda pid: (listings[pid].price_hint, pid),
             )
             prov = self.providers[provider_id]
+            posted_price = listings[provider_id].price_hint
             needed = self._needed_quantity(request, prov.spec.boot_delay)
             neg = self.scenario.negotiation
             buyer = NegotiationTerms(
@@ -701,7 +700,7 @@ class _MarketRun(_Run):
             )
             seller = NegotiationTerms(
                 role=SELLER,
-                opening=max(prov.posted_price * needed,
+                opening=max(posted_price * needed,
                             prov.spec.market.cost_floor * needed),
                 reservation=prov.spec.market.cost_floor * needed,
                 max_rounds=neg.max_rounds,

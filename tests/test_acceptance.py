@@ -40,8 +40,8 @@ from cloudmarket.negotiation import (
     Agreement,
     BrokeOff,
     ConcessionSchedule,
+    NegotiationSession,
     NegotiationTerms,
-    open_session,
 )
 from cloudmarket.simulation import compare_modes, run_scenario
 from cloudmarket.workload import (
@@ -413,8 +413,7 @@ def test_criterion_07_negotiation_outcomes(verdict):
                 SELLER, rng.randint(seller_res, 15_000), seller_res,
                 rng.randint(1, 8), random_schedule(rng), party_id="s",
             )
-            first = BUYER if rng.random() < 0.5 else SELLER
-            session = open_session(buyer, seller, first_mover=first)
+            session = NegotiationSession(buyer, seller)
             outcome = session.run_to_completion()
             if overlap:
                 assert isinstance(outcome, Agreement), (case, outcome)

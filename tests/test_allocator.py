@@ -1,4 +1,4 @@
-"""Admission control, pricing quotes, metering, and invoicing."""
+"""Admission control and pricing quotes."""
 
 import random
 from fractions import Fraction
@@ -7,14 +7,11 @@ import pytest
 
 from cloudmarket.allocator import (
     Accept,
-    AlreadyFinalized,
     Fixed,
     InvalidPolicy,
-    OverlappingInterval,
     PeakOffPeak,
     QosSpec,
     Reject,
-    RequestNotFinished,
     ServiceRequest,
     SlaAllocator,
     UtilizationLinear,
@@ -265,95 +262,3 @@ def test_randomized_admissions_never_overload():
                 assert decision.plan.vm_start >= at
         for machine_id, accepted in plans.items():
             assert _replay_schedulable(accepted, cap), (case, machine_id)
-
-
-# -- metering and invoicing -----------------------------------------------------------
-
-
-def _tracked(alloc, volume=40, cpu=4, price_budget=10_000):
-    req = request("req000001", 0, volume=volume, cpu=cpu, deadline=100,
-                  budget=price_budget)
-    decision = alloc.examine(req, at=0)
-    assert isinstance(decision, Accept)
-    return req, decision.plan
-
-
-def test_single_meter_record_covers_the_volume():
-    alloc = make_allocator([("m1", 4, 16)])
-    req, plan = _tracked(alloc)
-    total = alloc.meter("req000001", plan.exec_start, plan.completion, 4)
-    assert total == req.workload_volume
-
-
-def test_duplicate_meter_interval_is_refused():
-    alloc = make_allocator([("m1", 4, 16)])
-    _, plan = _tracked(alloc)
-    alloc.meter("req000001", 0, 5, 4)
-    with pytest.raises(OverlappingInterval):
-        alloc.meter("req000001", 4, 6, 4)
-
-
-def test_split_metering_accumulates_identically():
-    # oracle: one covering record vs k contiguous pieces
-    one = make_allocator([("m1", 4, 16)])
-    _tracked(one)
-    single = one.meter("req000001", 0, 10, 4)
-
-    pieces = make_allocator([("m1", 4, 16)])
-    _tracked(pieces)
-    split_points = [0, 3, 4, 7, 10]
-    total = 0
-    for lo, hi in zip(split_points, split_points[1:]):
-        total = pieces.meter("req000001", lo, hi, 4)
-    assert total == single == 40
-
-
-def test_completed_invoice_charges_the_quote():
-    alloc = make_allocator([("m1", 4, 16)], rate=125)
-    _, plan = _tracked(alloc)
-    assert plan.price == 5_000
-    alloc.meter("req000001", plan.exec_start, plan.completion, 4)
-    alloc.mark_completed("req000001", plan.completion)
-    invoice = alloc.finalize_charge("req000001", at=plan.completion)
-    assert invoice.amount == 5_000
-
-
-def test_invoice_matches_independent_recomputation():
-    # oracle: usage recomputed from the raw line items, amount from the rate
-    rng = random.Random(5)
-    for _ in range(50):
-        volume = rng.randint(10, 80)
-        cpu = rng.randint(1, 4)
-        rate = rng.randint(1, 200)
-        alloc = make_allocator([("m1", 4, 64)], rate=rate)
-        req = request("req000001", 0, volume=volume, cpu=cpu,
-                      deadline=1_000, budget=10**9)
-        alloc.examine(req, at=0)
-        ticks = req.runtime
-        cuts = sorted({0, ticks, *rng.sample(range(ticks + 1), rng.randint(0, ticks))})
-        for lo, hi in zip(cuts, cuts[1:]):
-            alloc.meter("req000001", lo, hi, cpu)
-        alloc.mark_completed("req000001", ticks)
-        invoice = alloc.finalize_charge("req000001", at=ticks)
-
-        assert [(lo, hi) for lo, hi, _ in invoice.line_items] == list(zip(cuts, cuts[1:]))
-        usage = sum(cu for _, _, cu in invoice.line_items)
-        assert usage == invoice.usage == ticks * cpu
-        assert invoice.amount == rate * volume
-
-
-def test_finalize_requires_a_terminal_state():
-    alloc = make_allocator([("m1", 4, 16)])
-    _tracked(alloc)
-    with pytest.raises(RequestNotFinished):
-        alloc.finalize_charge("req000001", at=1)
-
-
-def test_finalize_happens_once():
-    alloc = make_allocator([("m1", 4, 16)])
-    _, plan = _tracked(alloc)
-    alloc.mark_completed("req000001", plan.completion)
-    alloc.finalize_charge("req000001", at=plan.completion)
-    with pytest.raises(AlreadyFinalized):
-        alloc.finalize_charge("req000001", at=plan.completion)
-

@@ -10,6 +10,7 @@ import yaml
 
 from cloudmarket.allocator import REJECT_CAPACITY, Reject, SlaAllocator
 from cloudmarket.cli import main
+from cloudmarket.engine import SimEngine
 from cloudmarket.exchange import ReservationBook
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -139,6 +140,29 @@ def test_rejected_backed_admission_exits_four_and_names_the_request(
     assert refused and refused[0] in err
 
 
+@pytest.mark.parametrize("mode", ["market", "system_centric"])
+def test_duplicate_completion_exits_four_and_names_the_request(
+        tmp_path, monkeypatch, capsys, mode):
+    real_schedule = SimEngine.schedule
+    doubled = []
+
+    def schedule_first_completion_twice(self, kind, payload=None, *args, **kwargs):
+        if kind == "completion" and not doubled:
+            doubled.append(payload["request_id"])
+            real_schedule(self, kind, dict(payload), *args, **kwargs)
+        return real_schedule(self, kind, payload, *args, **kwargs)
+
+    monkeypatch.setattr(SimEngine, "schedule", schedule_first_completion_twice)
+    raw = yaml.safe_load(Path(SMOKE).read_text(encoding="utf-8"))
+    raw["mode"] = mode
+    scenario = tmp_path / "smoke.yaml"
+    scenario.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    code = main(["--scenario", str(scenario), "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert doubled and f"{doubled[0]} completed at t=" in err
+
+
 def test_query_before_the_prune_point_exits_four_and_names_it(
         tmp_path, monkeypatch, capsys):
     real_find_slot = ReservationBook.find_slot
@@ -151,6 +175,22 @@ def test_query_before_the_prune_point_exits_four_and_names_it(
     assert code == 4
     err = capsys.readouterr().err
     assert "earliest_fit from t=" in err and "before t=" in err
+
+
+def test_hold_before_the_prune_point_exits_four_and_names_it(
+        tmp_path, monkeypatch, capsys):
+    real_find_slot = ReservationBook.find_slot
+
+    def slot_in_the_past(self, datacenter, earliest, *args):
+        slot = real_find_slot(self, datacenter, earliest, *args)
+        # the runs search from one tick after the prune point
+        return None if slot is None else (slot[0], earliest - 2)
+
+    monkeypatch.setattr(ReservationBook, "find_slot", slot_in_the_past)
+    code = main(["--scenario", SMOKE, "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "fits from t=" in err and "before t=" in err
 
 
 def test_trace_off_suppresses_the_log(tmp_path, capsys):

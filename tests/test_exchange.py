@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from cloudmarket.datacenter import Datacenter
+from cloudmarket.datacenter import CapacityViolation, Datacenter
 from cloudmarket.engine import SimEngine
 from cloudmarket.exchange import (
     ASK,
@@ -22,7 +22,6 @@ from cloudmarket.exchange import (
     MarketView,
     OrderBook,
     ReservationBook,
-    ReservationConflict,
     VariablePrice,
     WORLD,
     _select_requests,
@@ -38,15 +37,15 @@ from cloudmarket.negotiation import PenaltySchedule, Sla
 
 def test_single_listing_round_trip():
     directory = MarketDirectory()
-    directory.register(Listing("alpine", 16, 40))
+    directory.register(Listing("alpine", 40))
     hits = directory.query()
     assert [l.participant_id for l in hits] == ["alpine"]
 
 
 def test_reregistration_replaces_the_listing():
     directory = MarketDirectory()
-    directory.register(Listing("alpine", 16, 40))
-    directory.register(Listing("alpine", 16, 55))
+    directory.register(Listing("alpine", 40))
+    directory.register(Listing("alpine", 55))
     hits = directory.query()
     assert len(hits) == 1 and hits[0].price_hint == 55
 
@@ -328,7 +327,7 @@ def market_view(listings, last=None, capacity=100, funds=10**9, window=(10, 20))
 
 
 def provider_listing(name="alpine", hint=7):
-    return Listing(name, 50, hint)
+    return Listing(name, hint)
 
 
 def test_profitable_request_is_engaged():
@@ -526,28 +525,30 @@ def make_datacenter(cpu=4, mem=16, machines=1):
 def test_reservation_within_capacity_is_granted():
     dc = make_datacenter(cpu=4)
     book = ReservationBook()
-    r = book.reserve(dc, "broker-a", 10, 20, 4, 1, backing_sla="sla000001", machine_id="m0")
-    assert r.machine_id == "m0"
+    assert book.reserve(dc, 10, 20, 4, 1, machine_id="m0") == "rsv000001"
     assert dc.calendars["m0"].usage_at(15) == (4, 1)
+    assert [b.owner for b in dc.calendars["m0"].blocks] == ["rsv000001"]
 
 
 def test_overlapping_reservation_conflicts():
     dc = make_datacenter(cpu=4)
     book = ReservationBook()
-    book.reserve(dc, "broker-a", 10, 20, 4, 1, backing_sla="sla000001", machine_id="m0")
-    with pytest.raises(ReservationConflict):
-        book.reserve(dc, "broker-b", 15, 25, 1, 1, backing_sla="sla000002", machine_id="m0")
+    book.reserve(dc, 10, 20, 4, 1, machine_id="m0")
+    with pytest.raises(CapacityViolation):
+        book.reserve(dc, 15, 25, 1, 1, machine_id="m0")
     # a refused hold leaves no block and uses up no reservation id
     assert len(dc.calendars["m0"].blocks) == 1
-    r = book.reserve(dc, "broker-b", 20, 25, 1, 1, backing_sla="sla000002", machine_id="m0")
-    assert r.reservation_id == "rsv000002"
+    assert book.reserve(dc, 20, 25, 1, 1, machine_id="m0") == "rsv000002"
 
 
-def test_reservation_requires_a_backing_sla():
-    dc = make_datacenter()
+def test_reservation_before_the_prune_point_fails_loudly():
+    dc = make_datacenter(cpu=4)
     book = ReservationBook()
-    with pytest.raises(ReservationConflict):
-        book.reserve(dc, "broker-a", 10, 20, 1, 1, backing_sla="", machine_id="m0")
+    dc.calendars["m0"].prune(10)
+    with pytest.raises(CapacityViolation, match="before t=10"):
+        book.reserve(dc, 5, 8, 1, 1, machine_id="m0")
+    assert dc.calendars["m0"].blocks == []
+    assert book.reserve(dc, 10, 12, 1, 1, machine_id="m0") == "rsv000001"
 
 
 def test_random_reservations_never_oversubscribe():
@@ -557,7 +558,7 @@ def test_random_reservations_never_oversubscribe():
         cpu_cap = rng.randint(2, 6)
         dc = make_datacenter(cpu=cpu_cap, mem=64, machines=2)
         book = ReservationBook()
-        granted = []
+        granted = []  # (machine_id, start, end, cpu)
         for i in range(30):
             start = rng.randint(0, 40)
             end = start + rng.randint(1, 10)
@@ -566,17 +567,16 @@ def test_random_reservations_never_oversubscribe():
             # a pinned reservation on a machine that is full must conflict
             machine_id = slot[0] if slot is not None else rng.choice(sorted(dc.machines))
             try:
-                granted.append(book.reserve(
-                    dc, "h", start, end, cpu, 1,
-                    backing_sla=f"sla{i:06d}", machine_id=machine_id,
-                ))
-            except ReservationConflict:
+                book.reserve(dc, start, end, cpu, 1, machine_id=machine_id)
+            except CapacityViolation:
                 assert slot is None, (case, i)
+            else:
+                granted.append((machine_id, start, end, cpu))
         for machine_id in dc.machines:
             for t in range(0, 55):
                 load = sum(
-                    r.cpu for r in granted
-                    if r.machine_id == machine_id and r.start <= t < r.end
+                    c for m, s, e, c in granted
+                    if m == machine_id and s <= t < e
                 )
                 assert load <= cpu_cap, (case, machine_id, t)
 
@@ -584,7 +584,7 @@ def test_random_reservations_never_oversubscribe():
 def test_find_slot_prefers_the_earliest_then_lowest_id():
     dc = make_datacenter(cpu=4, machines=2)
     book = ReservationBook()
-    book.reserve(dc, "h", 0, 10, 4, 1, backing_sla="sla000001", machine_id="m0")
+    book.reserve(dc, 0, 10, 4, 1, machine_id="m0")
     slot = book.find_slot(dc, earliest=0, latest_start=50, duration=5, cpu=4, mem=1)
     assert slot == ("m1", 0)
 

@@ -1,6 +1,7 @@
 """End-to-end runs: determinism, conservation, and accounting identities."""
 
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,32 @@ def test_utilization_is_a_share(smoke_market, smoke_baseline):
             assert 0.0 <= value <= 1.0, (result.mode, result.seed, value)
     assert set(smoke_market.summary.utilization) == set(
         smoke_market.summary.provider_revenue)
+
+
+@pytest.mark.parametrize("mode", ["market", "system_centric"])
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("name", ["smoke.yaml", "two_class.yaml"])
+def test_delivered_cpu_ticks_match_the_trace(name, seed, mode):
+    # oracle: each completion delivers (fire_at - start) ticks at the cpu
+    # its VM was provisioned with; utilization is that total over the
+    # fleet's capacity across the whole simulated span
+    scenario = load(name)
+    result = run_scenario(scenario, seed=seed, mode=mode)
+    events = result.trace.events
+    vm_cpu = {ev.payload["vm_id"]: ev.payload["cpu"]
+              for ev in events if ev.kind == "vm_provision"}
+    delivered = {p.provider_id: 0 for p in scenario.providers}
+    for ev in events:
+        if ev.kind == "completion":
+            p = ev.payload
+            delivered[p["provider"]] += (ev.fire_at - p["start"]) * vm_cpu[p["vm_id"]]
+    assert sum(delivered.values()) > 0
+    span = max(scenario.horizon, events[-1].fire_at)
+    for p in scenario.providers:
+        fleet_cpu = sum(g.count * g.cpu_capacity for g in p.fleet)
+        utilization = result.summary.utilization[p.provider_id]
+        assert utilization == float(Fraction(delivered[p.provider_id], fleet_cpu * span))
+        assert round(utilization * fleet_cpu * span) == delivered[p.provider_id]
 
 
 def test_compare_modes_pairs_the_request_trace():
