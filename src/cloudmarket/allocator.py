@@ -13,15 +13,11 @@ from fractions import Fraction
 
 from .datacenter import Block, Datacenter
 from .engine import SimEngine
-from .money import Money, as_fraction, ceil_div, round_half_up
+from .money import Money, ceil_div, round_half_up
 
 REJECT_DEADLINE = "DeadlineInfeasible"
 REJECT_BUDGET = "BudgetInfeasible"
 REJECT_CAPACITY = "CapacityUnavailable"
-
-
-class InvalidPolicy(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -100,25 +96,6 @@ class UtilizationLinear:
 PricingPolicy = Fixed | PeakOffPeak | UtilizationLinear
 
 
-def pricing_from_config(config: dict) -> PricingPolicy:
-    kind = config["kind"]
-    if kind == "fixed":
-        return Fixed(rate=as_fraction(config["rate"]))
-    if kind == "peak_off_peak":
-        return PeakOffPeak(
-            rate=as_fraction(config["rate"]),
-            peak_multiplier=as_fraction(config["peak_multiplier"]),
-            peak_windows=tuple((int(s), int(e)) for s, e in config["peak_windows"]),
-            day_length=int(config["day_length"]),
-        )
-    if kind == "utilization_linear":
-        return UtilizationLinear(
-            base_rate=as_fraction(config["base_rate"]),
-            alpha=as_fraction(config["alpha"]),
-        )
-    raise InvalidPolicy(f"unknown pricing kind {kind!r}")
-
-
 def quote(
     policy: PricingPolicy,
     volume: int,
@@ -132,10 +109,8 @@ def quote(
         tick = submit_time % policy.day_length
         in_peak = any(s <= tick < e for s, e in policy.peak_windows)
         exact = policy.rate * volume * (policy.peak_multiplier if in_peak else 1)
-    elif isinstance(policy, UtilizationLinear):
-        exact = policy.base_rate * volume * (1 + policy.alpha * utilization)
     else:
-        raise InvalidPolicy(f"unknown pricing policy {policy!r}")
+        exact = policy.base_rate * volume * (1 + policy.alpha * utilization)
     return round_half_up(exact)
 
 

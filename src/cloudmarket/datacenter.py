@@ -370,14 +370,6 @@ class Datacenter:
             "start": start, "volume": workload_volume,
         }, fire_at=completion)
 
-    def finish_execution(self, vm_id: str) -> str | None:
-        vm = self.vms.get(vm_id)
-        if vm is None:
-            raise UnknownVm(vm_id)
-        request_id = vm.assigned_request
-        vm.assigned_request = None
-        return request_id
-
 
 def fleet_specs(provider_id: str, groups: list[dict]) -> list[tuple[str, int, int]]:
     """Expand (count, cpu_capacity, mem_capacity) groups into machine specs."""

@@ -190,7 +190,6 @@ class ClearingResult:
     clearing_prices: dict[tuple[int, int], Money]
     bid_quantity: int
     ask_quantity: int
-    unmatched_order_ids: list[int]
 
     @property
     def demand_index(self) -> Fraction:
@@ -304,15 +303,12 @@ class OrderBook:
                         bid.actor, ask.actor, qty * clearing_price, at,
                         memo=f"trade {trade.trade_id}",
                     )
-        unmatched = sorted(
-            o.order_id for o in live if o.remaining > 0
-        )
         # expired and fully-filled orders no longer occupy the book
         self.orders = {
             oid: o for oid, o in self.orders.items()
             if o.remaining > 0 and o.expiry > at
         }
-        return ClearingResult(at, trades, prices, bid_quantity, ask_quantity, unmatched)
+        return ClearingResult(at, trades, prices, bid_quantity, ask_quantity)
 
 
 # -- provider-side market policy ---------------------------------------------------
@@ -358,7 +354,6 @@ class BrokerRequestView:
     request_id: str
     willingness: Money  # what the consumer side will bear, total
     quantity: int  # cpu-ticks to procure
-    expected_penalty: Money = 0
     margin: Money = 0
 
 
@@ -368,7 +363,6 @@ class MarketView:
     last_clearing_price: Money | None
     procurable_quantity: int
     available_funds: Money
-    window: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -377,8 +371,6 @@ class BrokerAction:
     request_id: str
     quantity: int
     limit_unit_price: Money
-    window: tuple[int, int]
-    provider_id: str | None = None
 
 
 _ENUMERATION_LIMIT = 12
@@ -446,10 +438,10 @@ def broker_decide(
 
     Estimated utility per request is willingness minus estimated
     procurement cost (last clearing price, falling back to the cheapest
-    directory hint) minus expected penalty.  The chosen subset maximizes
-    summed utility within procurable capacity; each pick becomes an
-    auction bid when some posted hint is inside its price ceiling, and a
-    negotiation opening with the cheapest provider otherwise.
+    directory hint).  The chosen subset maximizes summed utility within
+    procurable capacity; each pick becomes an auction bid when some
+    posted hint is inside its price ceiling, and a negotiation
+    otherwise.
     """
     if not market.listings or not requests:
         return []
@@ -461,7 +453,7 @@ def broker_decide(
     )
     candidates: list[tuple[Money, BrokerRequestView]] = []
     for view in requests:
-        utility = view.willingness - unit_estimate * view.quantity - view.expected_penalty
+        utility = view.willingness - unit_estimate * view.quantity
         if utility > 0 and view.quantity > 0:
             candidates.append((utility, view))
     chosen = _select_requests(candidates, market.procurable_quantity)
@@ -470,21 +462,16 @@ def broker_decide(
     actions: list[BrokerAction] = []
     funds_left = market.available_funds
     for view in chosen:
-        ceiling = view.willingness - view.expected_penalty - view.margin
+        ceiling = view.willingness - view.margin
         spendable = min(ceiling, funds_left)
         limit = spendable // view.quantity
         if limit <= 0:
             continue
         if any(l.price_hint <= limit for l in market.listings):
-            actions.append(BrokerAction(
-                "bid", view.request_id, view.quantity, limit, market.window,
-            ))
+            actions.append(BrokerAction("bid", view.request_id, view.quantity, limit))
             funds_left -= limit * view.quantity
         else:
-            actions.append(BrokerAction(
-                "negotiate", view.request_id, view.quantity, limit, market.window,
-                provider_id=cheapest.participant_id,
-            ))
+            actions.append(BrokerAction("negotiate", view.request_id, view.quantity, limit))
     return actions
 
 

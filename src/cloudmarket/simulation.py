@@ -14,12 +14,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .allocator import (
-    Accept,
-    ServiceRequest,
-    SlaAllocator,
-    pricing_from_config,
-)
+from .allocator import Accept, ServiceRequest, SlaAllocator
 from .datacenter import Datacenter, fleet_specs
 from .engine import SimEngine, TraceRecorder
 from .exchange import (
@@ -33,7 +28,6 @@ from .exchange import (
     MarketView,
     OrderBook,
     ReservationBook,
-    VariablePrice,
     broker_decide,
     provider_set_price,
     settle_sla,
@@ -43,9 +37,7 @@ from .money import Money, round_half_up
 from .negotiation import (
     Agreement,
     BUYER,
-    ConcessionSchedule,
     NegotiationTerms,
-    PenaltySchedule,
     SELLER,
     Sla,
     negotiate_price,
@@ -54,6 +46,7 @@ from .workload import (
     ConsumerProxy,
     MODE_MARKET,
     MODE_SYSTEM_CENTRIC,
+    ProviderSpec,
     Scenario,
     dump_scenario,
     generate_requests,
@@ -89,10 +82,9 @@ def request_trace_digest(requests: list[ServiceRequest]) -> str:
 
 @dataclass
 class _Provider:
-    spec: object
+    spec: ProviderSpec
     datacenter: Datacenter
     allocator: SlaAllocator
-    price_policy: VariablePrice
 
 
 @dataclass
@@ -146,17 +138,11 @@ class _Run:
                 boot_delay=p.boot_delay,
             )
             allocator = SlaAllocator(
-                self.engine, dc, pricing_from_config(p.pricing),
+                self.engine, dc, p.pricing,
                 reliability_class=p.reliability_class,
                 security_class=p.security_class,
             )
-            policy = VariablePrice(
-                base_rate=p.market.base_rate,
-                utilization_coefficient=p.market.utilization_coefficient,
-                demand_coefficient=p.market.demand_coefficient,
-                cost_floor=p.market.cost_floor,
-            )
-            self.providers[p.provider_id] = _Provider(p, dc, allocator, policy)
+            self.providers[p.provider_id] = _Provider(p, dc, allocator)
             self.ledger.open_account(p.provider_id)
             self.funded[p.provider_id] = 0
 
@@ -173,7 +159,6 @@ class _Run:
             b.broker_id: 0 for b in scenario.brokers
         }
 
-        self.penalty = PenaltySchedule(scenario.penalty.rate, scenario.penalty.cap)
         self.requests_by_id: dict[str, ServiceRequest] = {}
         self.pending: dict[str, str] = {}  # request_id -> assigned broker
         self.committed: dict[str, _Commitment] = {}
@@ -189,7 +174,7 @@ class _Run:
         for provider_id, prov in self.providers.items():
             self.directory.register(Listing(
                 participant_id=provider_id,
-                price_hint=provider_set_price(prov.price_policy, Fraction(0), Fraction(1)),
+                price_hint=provider_set_price(prov.spec.market, Fraction(0), Fraction(1)),
             ))
 
     # -- money helpers -----------------------------------------------------------
@@ -268,7 +253,6 @@ class _Run:
             if not commit.sla_procure.paid and commit.broker_id is not None:
                 self.broker_committed[commit.broker_id] -= commit.sla_procure.price
 
-        prov.datacenter.finish_execution(p["vm_id"])
         prov.datacenter.release_vm(p["vm_id"], now)
         self.proxies[request.consumer_id].resolve(request_id)
 
@@ -388,7 +372,7 @@ class _BaselineRun(_Run):
                     request_id=request.request_id,
                     price=plan.price,
                     promised_completion=request.qos.deadline,
-                    penalty=self.penalty,
+                    penalty=self.scenario.penalty,
                 )
                 self.committed[request.request_id] = _Commitment(
                     request, provider_id, None, sla, None, plan.machine_id,
@@ -468,7 +452,7 @@ class _MarketRun(_Run):
         for provider_id in sorted(self.providers):
             prov = self.providers[provider_id]
             price = provider_set_price(
-                prov.price_policy,
+                prov.spec.market,
                 prov.datacenter.utilization_at(now),
                 self.demand_index,
             )
@@ -506,7 +490,6 @@ class _MarketRun(_Run):
                 request_id=request_id,
                 willingness=request.qos.budget,
                 quantity=self._needed_quantity(request, max_boot),
-                expected_penalty=0,
                 margin=margin,
             ))
         listings = self.directory.query()
@@ -520,7 +503,6 @@ class _MarketRun(_Run):
                     self.ledger.balance(broker_id)
                     - self.broker_committed[broker_id]
                 ),
-                window=window,
             )
             for action in broker_decide(by_broker[broker_id], view):
                 chosen[action.request_id] = action
@@ -631,7 +613,7 @@ class _MarketRun(_Run):
             request_id=request.request_id,
             price=paid_amount,
             promised_completion=end,
-            penalty=self.penalty,
+            penalty=self.scenario.penalty,
             paid=prepaid,
         )
         if not prepaid:
@@ -646,7 +628,7 @@ class _MarketRun(_Run):
             request_id=request.request_id,
             price=consumer_price,
             promised_completion=request.qos.deadline,
-            penalty=self.penalty,
+            penalty=self.scenario.penalty,
         )
         decision = prov.allocator.examine(
             request, now,
@@ -695,7 +677,7 @@ class _MarketRun(_Run):
                 opening=(spendable + 1) // 2,
                 reservation=spendable,
                 max_rounds=neg.max_rounds,
-                schedule=ConcessionSchedule(**neg.buyer_schedule),
+                schedule=neg.buyer_schedule,
                 party_id=broker_id,
             )
             seller = NegotiationTerms(
@@ -704,7 +686,7 @@ class _MarketRun(_Run):
                             prov.spec.market.cost_floor * needed),
                 reservation=prov.spec.market.cost_floor * needed,
                 max_rounds=neg.max_rounds,
-                schedule=ConcessionSchedule(**neg.seller_schedule),
+                schedule=neg.seller_schedule,
                 party_id=provider_id,
             )
             outcome = negotiate_price(

@@ -8,15 +8,19 @@ normalized form (rationals canonicalized to "p/q" strings).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import ceil
 
 import yaml
 
-from .allocator import QosSpec, ServiceRequest
+from .allocator import (
+    Fixed, PeakOffPeak, PricingPolicy, QosSpec, ServiceRequest, UtilizationLinear,
+)
 from .engine import RngStreams
+from .exchange import VariablePrice
 from .money import Money, as_fraction, ceil_div, frac_str, round_half_up
+from .negotiation import ConcessionSchedule, PenaltySchedule
 
 FORMAT_VERSION = 1
 
@@ -69,11 +73,14 @@ def _as_str(value, path: str) -> str:
     return value
 
 
-def _as_rational(value, path: str) -> Fraction:
+def _as_rational(value, path: str, minimum: int | None = None) -> Fraction:
     try:
-        return as_fraction(value)
+        out = as_fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValidationError(f"not a rational number: {value!r} ({exc})", path)
+    if minimum is not None and out < minimum:
+        raise ValidationError(f"must be >= {minimum}, got {value!r}", path)
+    return out
 
 
 def _check_keys(mapping: dict, path: str, required: set[str], optional: set[str] = frozenset()) -> None:
@@ -177,20 +184,12 @@ class FleetGroup:
 
 
 @dataclass(frozen=True)
-class MarketParams:
-    base_rate: Money
-    cost_floor: Money
-    utilization_coefficient: Fraction
-    demand_coefficient: Fraction
-
-
-@dataclass(frozen=True)
 class ProviderSpec:
     provider_id: str
     boot_delay: int
     fleet: tuple[FleetGroup, ...]
-    pricing: dict
-    market: MarketParams
+    pricing: PricingPolicy
+    market: VariablePrice
     reliability_class: int = 0
     security_class: int = 0
 
@@ -224,14 +223,8 @@ class WorkloadSpec:
 @dataclass(frozen=True)
 class NegotiationSpec:
     max_rounds: int
-    buyer_schedule: dict
-    seller_schedule: dict
-
-
-@dataclass(frozen=True)
-class PenaltySpec:
-    rate: Fraction
-    cap: Money | None
+    buyer_schedule: ConcessionSchedule
+    seller_schedule: ConcessionSchedule
 
 
 MODE_MARKET = "market"
@@ -250,7 +243,7 @@ class Scenario:
     consumers: tuple[ConsumerSpec, ...]
     workload: WorkloadSpec
     negotiation: NegotiationSpec
-    penalty: PenaltySpec
+    penalty: PenaltySchedule
     mode: str = MODE_MARKET
     master_seed: int | None = None
 
@@ -259,51 +252,49 @@ class Scenario:
 
 
 _PRICING_FIELDS = {
-    "fixed": ({"kind", "rate"}, set()),
-    "peak_off_peak": ({"kind", "rate", "peak_multiplier", "peak_windows", "day_length"}, set()),
-    "utilization_linear": ({"kind", "base_rate", "alpha"}, set()),
+    "fixed": {"kind", "rate"},
+    "peak_off_peak": {"kind", "rate", "peak_multiplier", "peak_windows", "day_length"},
+    "utilization_linear": {"kind", "base_rate", "alpha"},
 }
 
 
-def _validate_pricing(value, path: str) -> dict:
+def _validate_pricing(value, path: str) -> PricingPolicy:
     mapping = _as_mapping(value, path)
     kind = mapping.get("kind")
     if kind not in _PRICING_FIELDS:
         raise ValidationError(
             f"kind must be one of {sorted(_PRICING_FIELDS)}, got {kind!r}", f"{path}.kind"
         )
-    required, optional = _PRICING_FIELDS[kind]
-    _check_keys(mapping, path, required, optional)
-    out = {"kind": kind}
+    _check_keys(mapping, path, _PRICING_FIELDS[kind])
+    # a negative rate or factor would quote a negative price
+    rates = {
+        key: _as_rational(mapping[key], f"{path}.{key}", minimum=0)
+        for key in ("rate", "peak_multiplier", "base_rate", "alpha") if key in mapping
+    }
     if kind == "fixed":
-        out["rate"] = _as_rational(mapping["rate"], f"{path}.rate")
-    elif kind == "peak_off_peak":
-        out["rate"] = _as_rational(mapping["rate"], f"{path}.rate")
-        out["peak_multiplier"] = _as_rational(mapping["peak_multiplier"], f"{path}.peak_multiplier")
-        out["day_length"] = _as_int(mapping["day_length"], f"{path}.day_length", minimum=1)
-        raw_windows = _as_list(mapping["peak_windows"], f"{path}.peak_windows")
-        if not raw_windows:
-            raise ValidationError("peak_windows must be non-empty", f"{path}.peak_windows")
-        windows = []
-        for i, pair in enumerate(raw_windows):
-            wpath = f"{path}.peak_windows[{i}]"
-            pair = _as_list(pair, wpath)
-            if len(pair) != 2:
-                raise ValidationError(f"expected [start, end], got {pair!r}", wpath)
-            start = _as_int(pair[0], f"{wpath}[0]", minimum=0)
-            end = _as_int(pair[1], f"{wpath}[1]", minimum=1)
-            if not start < end <= out["day_length"]:
-                raise ValidationError("need start < end <= day_length", wpath)
-            windows.append((start, end))
-        windows.sort()
-        for (_, prev_end), (next_start, _) in zip(windows, windows[1:]):
-            if next_start < prev_end:
-                raise ValidationError("peak windows overlap", f"{path}.peak_windows")
-        out["peak_windows"] = windows
-    else:
-        out["base_rate"] = _as_rational(mapping["base_rate"], f"{path}.base_rate")
-        out["alpha"] = _as_rational(mapping["alpha"], f"{path}.alpha")
-    return out
+        return Fixed(**rates)
+    if kind == "utilization_linear":
+        return UtilizationLinear(**rates)
+    day_length = _as_int(mapping["day_length"], f"{path}.day_length", minimum=1)
+    raw_windows = _as_list(mapping["peak_windows"], f"{path}.peak_windows")
+    if not raw_windows:
+        raise ValidationError("peak_windows must be non-empty", f"{path}.peak_windows")
+    windows = []
+    for i, pair in enumerate(raw_windows):
+        wpath = f"{path}.peak_windows[{i}]"
+        pair = _as_list(pair, wpath)
+        if len(pair) != 2:
+            raise ValidationError(f"expected [start, end], got {pair!r}", wpath)
+        start = _as_int(pair[0], f"{wpath}[0]", minimum=0)
+        end = _as_int(pair[1], f"{wpath}[1]", minimum=1)
+        if not start < end <= day_length:
+            raise ValidationError("need start < end <= day_length", wpath)
+        windows.append((start, end))
+    windows.sort()
+    for (_, prev_end), (next_start, _) in zip(windows, windows[1:]):
+        if next_start < prev_end:
+            raise ValidationError("peak windows overlap", f"{path}.peak_windows")
+    return PeakOffPeak(peak_windows=tuple(windows), day_length=day_length, **rates)
 
 
 def _validate_provider(value, path: str) -> ProviderSpec:
@@ -337,7 +328,7 @@ def _validate_provider(value, path: str) -> ProviderSpec:
     mpath = f"{path}.market"
     mmap = _as_mapping(market_raw, mpath)
     _check_keys(mmap, mpath, {"base_rate", "cost_floor", "utilization_coefficient", "demand_coefficient"})
-    market = MarketParams(
+    market = VariablePrice(
         base_rate=_as_int(mmap["base_rate"], f"{mpath}.base_rate", minimum=0),
         cost_floor=_as_int(mmap["cost_floor"], f"{mpath}.cost_floor", minimum=0),
         utilization_coefficient=_as_rational(mmap["utilization_coefficient"], f"{mpath}.utilization_coefficient"),
@@ -485,19 +476,15 @@ def validate_scenario(raw, source: str = "<scenario>") -> Scenario:
             mem_need=_validate_dist(wmap["mem_need"], f"{wpath}.mem_need", {"constant", "uniform_int", "choice"}, minimum=0),
             deadline_slack=_validate_dist(wmap["deadline_slack"], f"{wpath}.deadline_slack", {"constant", "uniform", "choice"}, minimum=1),
             budget_factor=_validate_dist(wmap["budget_factor"], f"{wpath}.budget_factor", {"constant", "uniform", "choice"}, minimum=0),
-            reference_rate=_as_rational(wmap["reference_rate"], f"{wpath}.reference_rate"),
+            reference_rate=_as_rational(wmap["reference_rate"], f"{wpath}.reference_rate", minimum=0),
         )
-        if workload.reference_rate < 0:
-            raise ValidationError(
-                f"must be >= 0, got {wmap['reference_rate']!r}", f"{wpath}.reference_rate"
-            )
 
     npath = "negotiation"
     nmap = _as_mapping(root["negotiation"], npath)
     _check_keys(nmap, npath, {"max_rounds"}, {"buyer_schedule", "seller_schedule"})
-    def _schedule(key: str) -> dict:
+    def _schedule(key: str) -> ConcessionSchedule:
         if key not in nmap:
-            return {"kind": "linear", "exponent": 1}
+            return ConcessionSchedule()
         spath = f"{npath}.{key}"
         smap = _as_mapping(nmap[key], spath)
         _check_keys(smap, spath, {"kind"}, {"exponent"})
@@ -505,7 +492,7 @@ def validate_scenario(raw, source: str = "<scenario>") -> Scenario:
         if kind not in ("linear", "poly"):
             raise ValidationError(f"kind must be linear or poly, got {kind!r}", f"{spath}.kind")
         exponent = _as_int(smap.get("exponent", 1), f"{spath}.exponent", minimum=1)
-        return {"kind": kind, "exponent": exponent}
+        return ConcessionSchedule(kind, exponent)
     negotiation = NegotiationSpec(
         max_rounds=_as_int(nmap["max_rounds"], f"{npath}.max_rounds", minimum=0),
         buyer_schedule=_schedule("buyer_schedule"),
@@ -516,8 +503,8 @@ def validate_scenario(raw, source: str = "<scenario>") -> Scenario:
     pmap = _as_mapping(root["penalty"], ppath)
     _check_keys(pmap, ppath, {"rate"}, {"cap"})
     cap_raw = pmap.get("cap")
-    penalty = PenaltySpec(
-        rate=_as_rational(pmap["rate"], f"{ppath}.rate"),
+    penalty = PenaltySchedule(
+        rate=_as_rational(pmap["rate"], f"{ppath}.rate", minimum=0),
         cap=None if cap_raw is None else _as_int(cap_raw, f"{ppath}.cap", minimum=0),
     )
 
@@ -561,6 +548,7 @@ def _num(value: Fraction | int) -> int | str:
 
 
 def _dist_dict(dist: dict) -> dict:
+    """Plain-data form of a distribution or policy: exact rationals, lists."""
     out = {}
     for key, value in dist.items():
         if key == "kind":
@@ -620,10 +608,10 @@ def scenario_to_dict(s: Scenario) -> dict:
         "workload": workload,
         "negotiation": {
             "max_rounds": s.negotiation.max_rounds,
-            "buyer_schedule": dict(s.negotiation.buyer_schedule),
-            "seller_schedule": dict(s.negotiation.seller_schedule),
+            "buyer_schedule": _dist_dict(asdict(s.negotiation.buyer_schedule)),
+            "seller_schedule": _dist_dict(asdict(s.negotiation.seller_schedule)),
         },
-        "penalty": {"rate": _num(s.penalty.rate), "cap": s.penalty.cap},
+        "penalty": _dist_dict(asdict(s.penalty)),
     }
     if s.master_seed is not None:
         out["master_seed"] = s.master_seed
@@ -638,13 +626,8 @@ def scenario_to_dict(s: Scenario) -> dict:
                  "mem_capacity": g.mem_capacity}
                 for g in p.fleet
             ],
-            "pricing": _dist_dict(p.pricing),
-            "market": {
-                "base_rate": p.market.base_rate,
-                "cost_floor": p.market.cost_floor,
-                "utilization_coefficient": _num(p.market.utilization_coefficient),
-                "demand_coefficient": _num(p.market.demand_coefficient),
-            },
+            "pricing": _dist_dict(asdict(p.pricing)),
+            "market": _dist_dict(asdict(p.market)),
         })
     return out
 

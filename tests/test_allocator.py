@@ -3,19 +3,15 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from cloudmarket.allocator import (
     Accept,
     Fixed,
-    InvalidPolicy,
     PeakOffPeak,
     QosSpec,
     Reject,
     ServiceRequest,
     SlaAllocator,
     UtilizationLinear,
-    pricing_from_config,
     quote,
     REJECT_BUDGET,
     REJECT_CAPACITY,
@@ -78,18 +74,6 @@ def test_quote_rounds_half_up_once():
     # 3 * 7 * (1 + 1/3 * 1/2) = 24.5 -> 25
     linear = UtilizationLinear(base_rate=Fraction(3), alpha=Fraction(1, 3))
     assert quote(linear, 7, 0, utilization=Fraction(1, 2)) == 25
-
-
-def test_pricing_from_config_round_trip():
-    fixed = pricing_from_config({"kind": "fixed", "rate": "5/2"})
-    assert isinstance(fixed, Fixed) and fixed.rate == Fraction(5, 2)
-    peak = pricing_from_config({
-        "kind": "peak_off_peak", "rate": 4, "peak_multiplier": 2,
-        "peak_windows": [[10, 20]], "day_length": 100,
-    })
-    assert peak.peak_windows == ((10, 20),)
-    with pytest.raises(InvalidPolicy):
-        pricing_from_config({"kind": "surge"})
 
 
 # -- admission ----------------------------------------------------------------------

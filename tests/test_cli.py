@@ -85,6 +85,19 @@ def test_draws_below_one_exit_three_before_generating(tmp_path, capsys, key, val
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_negative_penalty_rate_exits_three_before_any_run(tmp_path, capsys):
+    # past validation, settlement would count a negative penalty it never moves
+    raw = yaml.safe_load((SCENARIOS / "two_class.yaml").read_text(encoding="utf-8"))
+    raw["mode"] = "system_centric"
+    raw["penalty"]["rate"] = -3
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--scenario", str(broken), "--out", str(out), "--seed", "0"]) == 3
+    assert "penalty.rate:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bad_flag_exits_two(capsys):
     assert main(["--scenario", SMOKE, "--mode", "interpretive_dance"]) == 2
     capsys.readouterr()

@@ -223,14 +223,6 @@ def test_dispatch_to_busy_vm():
         dc.dispatch("req000002", vm_id, at=1, workload_volume=4)
 
 
-def test_finish_execution_frees_the_vm_for_reuse():
-    _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 1, at=0, machine_id="m1")
-    dc.dispatch("req000001", vm_id, at=0, workload_volume=4)
-    assert dc.finish_execution(vm_id) == "req000001"
-    dc.dispatch("req000002", vm_id, at=2, workload_volume=4)
-
-
 def test_fleet_specs_expand_groups():
     specs = fleet_specs("prov", [
         {"count": 2, "cpu_capacity": 4, "mem_capacity": 16},

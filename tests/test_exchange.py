@@ -322,8 +322,8 @@ def test_utilization_outside_unit_interval_is_invalid():
 # -- broker policy ---------------------------------------------------------------------
 
 
-def market_view(listings, last=None, capacity=100, funds=10**9, window=(10, 20)):
-    return MarketView(listings, last, capacity, funds, window)
+def market_view(listings, last=None, capacity=100, funds=10**9):
+    return MarketView(listings, last, capacity, funds)
 
 
 def provider_listing(name="alpine", hint=7):
@@ -362,14 +362,13 @@ def test_posted_hint_inside_limit_means_bid():
     assert actions[0].limit_unit_price == 1_000
 
 
-def test_no_affordable_hint_means_negotiate_with_the_cheapest():
+def test_no_affordable_hint_means_negotiate():
     view = BrokerRequestView(
         "req000001", willingness=10_000, quantity=10, margin=9_500,
     )
     listings = [provider_listing("alpine", hint=90), provider_listing("birch", hint=80)]
     actions = broker_decide([view], market_view(listings))
     assert actions[0].kind == "negotiate"
-    assert actions[0].provider_id == "birch"
     assert actions[0].limit_unit_price == 50
 
 
@@ -399,7 +398,6 @@ def test_broker_subset_matches_exhaustive_search():
                 f"req{i:06d}",
                 willingness=rng.randint(0, 4_000),
                 quantity=rng.randint(1, 6),
-                expected_penalty=rng.choice([0, 0, 200]),
             )
             for i in range(rng.randint(1, 7))
         ]
@@ -410,7 +408,7 @@ def test_broker_subset_matches_exhaustive_search():
             market_view([provider_listing(hint=unit)], capacity=capacity),
         )
         utility = {
-            v.request_id: v.willingness - unit * v.quantity - v.expected_penalty
+            v.request_id: v.willingness - unit * v.quantity
             for v in views
         }
         chosen = {a.request_id for a in actions}

@@ -21,6 +21,30 @@ def test_no_invariant_rests_on_assert():
     assert found == []
 
 
+def test_scenario_policies_are_built_only_by_validation():
+    # validation builds the pricing, market-price, penalty and concession
+    # objects a run uses; a second constructor site would be a second
+    # model of the same scenario fact
+    policies = {
+        "Fixed", "PeakOffPeak", "UtilizationLinear",
+        "VariablePrice", "PenaltySchedule", "ConcessionSchedule",
+    }
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "workload.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in policies:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert list(SRC.glob("*.py")), f"no sources under {SRC}"
+    assert found == []
+
+
 def test_bench_tracer_wraps_every_name():
     # the benchmark's per-layer view wraps simulator names by string;
     # a renamed or deleted one would silently drop its layer

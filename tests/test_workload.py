@@ -1,10 +1,15 @@
 """Scenario parsing, validation, and request generation."""
 
-import copy
+import hashlib
 import math
+from fractions import Fraction
 
 import pytest
+import yaml
 
+from cloudmarket.allocator import Fixed, PeakOffPeak, UtilizationLinear
+from cloudmarket.exchange import VariablePrice
+from cloudmarket.negotiation import ConcessionSchedule, PenaltySchedule
 from cloudmarket.workload import (
     ParseError,
     ValidationError,
@@ -12,7 +17,6 @@ from cloudmarket.workload import (
     generate_requests,
     load_scenario,
     proxy_select_brokers,
-    scenario_to_dict,
     validate_scenario,
 )
 
@@ -129,6 +133,69 @@ def test_overlapping_peak_windows_are_invalid():
     assert exc.value.field_path == "providers[0].pricing.peak_windows"
 
 
+def test_pricing_is_validated_into_policy_objects():
+    raw = minimal_raw()
+    raw["providers"][0]["pricing"] = {"kind": "fixed", "rate": "5/2"}
+    pricing = validate_scenario(raw).providers[0].pricing
+    assert pricing == Fixed(rate=Fraction(5, 2))
+    raw["providers"][0]["pricing"] = {
+        "kind": "peak_off_peak", "rate": 4, "peak_multiplier": 2,
+        "peak_windows": [[60, 80], [10, 20]], "day_length": 100,
+    }
+    pricing = validate_scenario(raw).providers[0].pricing
+    assert isinstance(pricing, PeakOffPeak)
+    assert pricing.peak_windows == ((10, 20), (60, 80))
+    raw["providers"][0]["pricing"] = {"kind": "surge"}
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == "providers[0].pricing.kind"
+
+
+def test_validated_scenario_holds_the_runtime_types():
+    raw = minimal_raw()
+    raw["negotiation"]["seller_schedule"] = {"kind": "poly", "exponent": 2}
+    raw["penalty"] = {"rate": "3/2"}
+    scenario = validate_scenario(raw)
+    provider = scenario.providers[0]
+    assert provider.pricing == Fixed(rate=Fraction(2))
+    assert provider.market == VariablePrice(
+        base_rate=2, utilization_coefficient=Fraction(1, 2),
+        demand_coefficient=Fraction(1, 4), cost_floor=1,
+    )
+    assert scenario.negotiation.buyer_schedule == ConcessionSchedule()
+    assert scenario.negotiation.seller_schedule == ConcessionSchedule("poly", 2)
+    assert scenario.penalty == PenaltySchedule(rate=Fraction(3, 2), cap=None)
+    raw["providers"][0]["pricing"] = {"kind": "utilization_linear", "base_rate": 3, "alpha": "1/2"}
+    assert validate_scenario(raw).providers[0].pricing == UtilizationLinear(
+        base_rate=Fraction(3), alpha=Fraction(1, 2),
+    )
+
+
+@pytest.mark.parametrize("section, value, path", [
+    ("pricing", {"kind": "fixed", "rate": -4}, "providers[0].pricing.rate"),
+    ("pricing", {"kind": "peak_off_peak", "rate": "-1/2", "peak_multiplier": 2,
+                 "peak_windows": [[0, 10]], "day_length": 100}, "providers[0].pricing.rate"),
+    ("pricing", {"kind": "peak_off_peak", "rate": 1, "peak_multiplier": -2,
+                 "peak_windows": [[0, 10]], "day_length": 100},
+     "providers[0].pricing.peak_multiplier"),
+    ("pricing", {"kind": "utilization_linear", "base_rate": -1, "alpha": 1},
+     "providers[0].pricing.base_rate"),
+    ("pricing", {"kind": "utilization_linear", "base_rate": 1, "alpha": "-1/4"},
+     "providers[0].pricing.alpha"),
+    ("penalty", {"rate": -3}, "penalty.rate"),
+], ids=["fixed-rate", "peak-rate", "peak-multiplier", "base-rate", "alpha", "penalty-rate"])
+def test_negative_rates_are_refused(section, value, path):
+    # a negative price or penalty would move money the wrong way at settlement
+    raw = minimal_raw()
+    if section == "pricing":
+        raw["providers"][0]["pricing"] = value
+    else:
+        raw["penalty"] = value
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == path
+
+
 def test_poisson_arrival_with_zero_rate_is_invalid():
     raw = minimal_raw()
     raw["workload"]["arrival"] = {"kind": "poisson", "rate": 0}
@@ -218,13 +285,38 @@ def test_draws_of_exactly_one_are_kept():
         assert req.qos.deadline == req.submit_time + 1
 
 
+def policy_variant():
+    # smoke.yaml with every non-default policy kind: unsorted peak
+    # windows, utilization pricing, a poly schedule, an uncapped penalty
+    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    raw["providers"][0]["pricing"] = {
+        "kind": "peak_off_peak", "rate": "7/2", "peak_multiplier": "3/2",
+        "peak_windows": [[120, 180], [20, 60]], "day_length": 200,
+    }
+    raw["providers"][1]["pricing"] = {"kind": "utilization_linear", "base_rate": 5, "alpha": "1/2"}
+    raw["negotiation"]["buyer_schedule"] = {"kind": "poly", "exponent": 3}
+    raw["penalty"] = {"rate": "5/2"}
+    return validate_scenario(raw)
+
+
 def test_round_trip_is_identity():
     # oracle: load -> dump -> load lands on the same scenario
-    scenario = load_scenario("scenarios/smoke.yaml")
-    dumped = dump_scenario(scenario)
-    again = validate_scenario(__import__("yaml").safe_load(dumped))
-    assert scenario_to_dict(again) == scenario_to_dict(scenario)
-    assert dump_scenario(again) == dumped
+    scenarios = [
+        load_scenario(f"scenarios/{name}.yaml")
+        for name in ("smoke", "example", "two_class", "util_pricing")
+    ]
+    for scenario in scenarios + [policy_variant()]:
+        dumped = dump_scenario(scenario)
+        again = validate_scenario(yaml.safe_load(dumped))
+        assert again == scenario
+        assert dump_scenario(again) == dumped
+
+
+def test_policy_variant_dump_is_pinned():
+    # every policy kind keeps its normalized form: a moved dump would
+    # move the scenario_digest of every run summary
+    digest = hashlib.sha256(dump_scenario(policy_variant()).encode("utf-8")).hexdigest()
+    assert digest == "01b8b037aea6871f4ac0b00b3a152d3f3f3abb8f7d6eeb12b952b0f2526f2ed0"
 
 
 def test_shipped_scenarios_all_validate():
