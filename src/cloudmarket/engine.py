@@ -39,13 +39,22 @@ class Event:
     payload: dict
 
 
-# built once; every trace digest depends on exactly these settings
-_PAYLOAD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+# built once; every trace digest depends on exactly these settings:
+# default=str, ensure_ascii, ":" and "," separators, sort_keys.
+# JSONEncoder.encode would build a fresh C encoder on every call.
+if json.encoder.c_make_encoder is not None:
+    _encode_payload = json.encoder.c_make_encoder(
+        None, str, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True,
+    )
+else:
+    _encode_payload = json.JSONEncoder(
+        sort_keys=True, separators=(",", ":"), default=str,
+    ).iterencode
 
 
 def payload_digest(payload: dict) -> str:
     """Stable short digest of an event payload for the trace file."""
-    blob = _PAYLOAD_ENCODER.encode(payload)
+    blob = "".join(_encode_payload(payload, 0))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 

@@ -152,9 +152,9 @@ class MetricsCollector:
         if self._last_time is not None and at < self._last_time:
             raise OutOfOrderEvent(f"{kind} at {at} after seeing {self._last_time}")
         self._last_time = at
-        handler = getattr(self, f"_on_{kind}", None)
+        handler = self._HANDLERS.get(kind)
         if handler is not None:
-            handler(at, payload)
+            handler(self, at, payload)
 
     # -- per-kind updates -----------------------------------------------------
 
@@ -218,6 +218,17 @@ class MetricsCollector:
 
     def _on_settlement(self, at: int, p: dict) -> None:
         self.penalties_paid += p["penalty"]
+
+    # event kind -> update; the kinds not listed change no tally
+    _HANDLERS = {
+        "request_submitted": _on_request_submitted,
+        "admission": _on_admission,
+        "request_served": _on_request_served,
+        "request_unserved": _on_request_unserved,
+        "trade": _on_trade,
+        "negotiation_outcome": _on_negotiation_outcome,
+        "settlement": _on_settlement,
+    }
 
     # -- outputs ------------------------------------------------------------------
 

@@ -149,7 +149,14 @@ class _Run:
         self.proxies = {
             c.consumer_id: ConsumerProxy(c.consumer_id) for c in scenario.consumers
         }
-        self.consumer_specs = {c.consumer_id: c for c in scenario.consumers}
+        # each consumer's top-k brokers by advertised margin, cheapest first
+        hints = [
+            (b.broker_id, round_half_up(b.margin_rate * 10**6))
+            for b in scenario.brokers
+        ]
+        self.broker_shortlist = {
+            c.consumer_id: proxy_select_brokers(hints, c.top_k) for c in scenario.consumers
+        }
         for c in scenario.consumers:
             self._fund(c.consumer_id, c.initial_funds, 0, "initial funding")
         for b in scenario.brokers:
@@ -160,7 +167,8 @@ class _Run:
         }
 
         self.requests_by_id: dict[str, ServiceRequest] = {}
-        self.pending: dict[str, str] = {}  # request_id -> assigned broker
+        # request_id -> (assigned broker, that broker's view of the request)
+        self.pending: dict[str, tuple[str, BrokerRequestView]] = {}
         self.committed: dict[str, _Commitment] = {}
         self.delivered_cu: dict[str, int] = {p: 0 for p in self.providers}
         self._sla_counter = 0
@@ -221,12 +229,7 @@ class _Run:
 
     def assign_broker(self, request: ServiceRequest) -> str:
         """Cheapest-margin brokers first, spread round-robin among the top k."""
-        spec = self.consumer_specs[request.consumer_id]
-        hints = [
-            (b.broker_id, round_half_up(b.margin_rate * 10**6))
-            for b in self.scenario.brokers
-        ]
-        chosen = proxy_select_brokers(hints, spec.top_k)
+        chosen = self.broker_shortlist[request.consumer_id]
         index = int(request.request_id[3:])
         return chosen[index % len(chosen)]
 
@@ -396,6 +399,7 @@ class _MarketRun(_Run):
         self.engine.on("market_cycle", self.on_market_cycle)
         self.engine.on("provision_due", self.on_provision_due)
         self.engine.on("completion", self.on_completion)
+        self.max_boot = self.scenario.max_boot_delay()
         period = self.scenario.auction_period
         for t in range(period, self.scenario.horizon + 1, period):
             self.engine.schedule("market_cycle", {"cycle_at": t}, fire_at=t)
@@ -407,7 +411,14 @@ class _MarketRun(_Run):
         proxy = self.proxies[request.consumer_id]
         proxy.commit(request.request_id, request.qos.budget)
         self._top_up_consumer(request.consumer_id, now)
-        self.pending[request.request_id] = self.assign_broker(request)
+        broker_id = self.assign_broker(request)
+        # what the broker bids on is fixed for the request's life
+        self.pending[request.request_id] = (broker_id, BrokerRequestView(
+            request_id=request.request_id,
+            willingness=request.qos.budget,
+            quantity=self._needed_quantity(request, self.max_boot),
+            margin=round_half_up(self.broker_specs[broker_id].margin_rate * request.qos.budget),
+        ))
 
     # -- one trading cycle ---------------------------------------------------
 
@@ -479,19 +490,10 @@ class _MarketRun(_Run):
     def _submit_bids(
         self, now: int, window: tuple[int, int], ask_capacity: int,
     ) -> dict[str, BrokerAction]:
-        max_boot = self.scenario.max_boot_delay()
         by_broker: dict[str, list[BrokerRequestView]] = {}
         for request_id in sorted(self.pending):
-            request = self.requests_by_id[request_id]
-            broker_id = self.pending[request_id]
-            spec = self.broker_specs[broker_id]
-            margin = round_half_up(spec.margin_rate * request.qos.budget)
-            by_broker.setdefault(broker_id, []).append(BrokerRequestView(
-                request_id=request_id,
-                willingness=request.qos.budget,
-                quantity=self._needed_quantity(request, max_boot),
-                margin=margin,
-            ))
+            broker_id, view = self.pending[request_id]
+            by_broker.setdefault(broker_id, []).append(view)
         listings = self.directory.query()
         chosen: dict[str, BrokerAction] = {}
         for broker_id in sorted(by_broker):
@@ -529,7 +531,7 @@ class _MarketRun(_Run):
                 self._refund_fills(now, request_id, fills[request_id], None)
                 continue
             request = self.requests_by_id[request_id]
-            broker_id = self.pending[request_id]
+            broker_id, view = self.pending[request_id]
             per_provider = {
                 provider_id: sum(t.quantity for t in trades)
                 for provider_id, trades in fills[request_id].items()
@@ -543,7 +545,7 @@ class _MarketRun(_Run):
             placed = False
             if per_provider[best_provider] >= needed:
                 placed = self._commit_reservation(
-                    now, request, broker_id, best_provider,
+                    now, request, broker_id, view.margin, best_provider,
                     paid_amount=sum(
                         t.quantity * t.unit_price
                         for t in fills[request_id][best_provider]
@@ -576,6 +578,7 @@ class _MarketRun(_Run):
         now: int,
         request: ServiceRequest,
         broker_id: str,
+        margin: Money,
         provider_id: str,
         paid_amount: Money,
         prepaid: bool,
@@ -618,8 +621,6 @@ class _MarketRun(_Run):
         )
         if not prepaid:
             self.broker_committed[broker_id] += paid_amount
-        spec = self.broker_specs[broker_id]
-        margin = round_half_up(spec.margin_rate * request.qos.budget)
         consumer_price = min(request.qos.budget, paid_amount + margin)
         sla_consumer = Sla(
             sla_id=self._next_sla_id("cb"),
@@ -653,10 +654,8 @@ class _MarketRun(_Run):
             if request_id not in self.pending:
                 continue
             request = self.requests_by_id[request_id]
-            broker_id = self.pending[request_id]
-            spec = self.broker_specs[broker_id]
-            margin = round_half_up(spec.margin_rate * request.qos.budget)
-            ceiling = request.qos.budget - margin
+            broker_id, view = self.pending[request_id]
+            ceiling = request.qos.budget - view.margin
             spendable = min(
                 ceiling,
                 self.ledger.balance(broker_id) - self.broker_committed[broker_id],
@@ -694,7 +693,7 @@ class _MarketRun(_Run):
             )
             if isinstance(outcome, Agreement):
                 placed = self._commit_reservation(
-                    now, request, broker_id, provider_id,
+                    now, request, broker_id, view.margin, provider_id,
                     paid_amount=outcome.price, prepaid=False,
                 )
                 if placed:
@@ -713,13 +712,19 @@ def run_scenario(
     scenario: Scenario,
     seed: int | None = None,
     mode: str | None = None,
+    requests: list[ServiceRequest] | None = None,
 ) -> RunResult:
-    """Simulate one scenario and return the full result bundle."""
+    """Simulate one scenario and return the full result bundle.
+
+    `requests` is the trace that `generate_requests(scenario, seed)`
+    returns; omitted, it is generated here.
+    """
     if seed is None:
         seed = scenario.master_seed if scenario.master_seed is not None else 0
     if mode is None:
         mode = scenario.mode
-    requests = generate_requests(scenario, seed)
+    if requests is None:
+        requests = generate_requests(scenario, seed)
     if mode == MODE_SYSTEM_CENTRIC:
         run: _Run = _BaselineRun(scenario, seed, mode)
     elif mode == MODE_MARKET:
@@ -744,9 +749,13 @@ def run_scenario(
 
 
 def compare_modes(scenario: Scenario, seed: int | None = None) -> tuple[RunResult, RunResult]:
-    """Run market and baseline over the identical request trace."""
+    """Run market and baseline over the identical request trace.
+
+    The market run generates the trace and the baseline replays it;
+    generation depends only on (scenario, seed), never on the mode.
+    """
     market = run_scenario(replace(scenario, mode=MODE_MARKET), seed)
-    baseline = run_scenario(replace(scenario, mode=MODE_SYSTEM_CENTRIC), seed)
-    if market.request_digest != baseline.request_digest:
-        raise RuntimeError("paired runs diverged on the generated request trace")
+    baseline = run_scenario(
+        replace(scenario, mode=MODE_SYSTEM_CENTRIC), market.seed, requests=market.requests,
+    )
     return market, baseline

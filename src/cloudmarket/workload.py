@@ -411,7 +411,9 @@ def validate_scenario(raw, source: str = "<scenario>") -> Scenario:
         brokers.append(BrokerSpec(
             broker_id=_as_str(bmap["broker_id"], f"{bpath}.broker_id"),
             initial_funds=_as_int(bmap["initial_funds"], f"{bpath}.initial_funds", minimum=0),
-            margin_rate=_as_rational(bmap.get("margin_rate", 0), f"{bpath}.margin_rate"),
+            margin_rate=_as_rational(
+                bmap.get("margin_rate", 0), f"{bpath}.margin_rate", minimum=0,
+            ),
         ))
     if not brokers:
         raise ValidationError("at least one broker is required", "brokers")

@@ -98,6 +98,18 @@ def test_negative_penalty_rate_exits_three_before_any_run(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_negative_margin_rate_exits_three_before_any_run(tmp_path, capsys):
+    # past validation, a negative margin would price SLAs below cost
+    raw = yaml.safe_load(Path(SMOKE).read_text(encoding="utf-8"))
+    raw["brokers"][0]["margin_rate"] = "-1/2"
+    broken = tmp_path / "broken.yaml"
+    broken.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["--scenario", str(broken), "--out", str(out), "--seed", "0"]) == 3
+    assert "brokers[0].margin_rate:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bad_flag_exits_two(capsys):
     assert main(["--scenario", SMOKE, "--mode", "interpretive_dance"]) == 2
     capsys.readouterr()

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cloudmarket.engine as engine_module
 from cloudmarket.engine import (
     Event,
     RngStreams,
@@ -178,10 +179,26 @@ def test_payload_digest_is_key_order_insensitive():
     {"outer": {"b": [1, Fraction(1, 2), None], "a": {"z": 0, "y": "x"}}, "n": -4},
     {"items": [{"id": "req000001", "q": 3}, {"id": "req000002", "q": None}]},
     {},
+    {"name": "Zürich – 東京 \U0001f600", "ctl": "tab\tnl\nnul\x00bell\x07\x7f", "q": '"\\'},
+    {"yes": True, "no": False, "none": None, "list": [True, False, None]},
+    {"frac": Fraction(-5, 8), "float": 0.1, "big": 1e300, "small": -2.5e-7, "int": 10**30},
+    {"deep": [[1, [2, {"b": [], "a": {}}]], {"k": [{"z": "é", "y": [None]}]}]},
 ])
 def test_payload_digest_matches_json_dumps(payload):
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     expected = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+    assert payload_digest(payload) == expected
+    recorder = TraceRecorder()
+    recorder(Event(fire_at=3, seq=7, kind="probe", payload=payload))
+    assert recorder.lines() == [f"3\t7\tprobe\t{expected}"]
+
+
+def test_pure_python_encoder_renders_the_same_digest(monkeypatch):
+    # without the C encoder the trace renders through JSONEncoder.iterencode
+    payload = {"b": [Fraction(1, 3), None, True], "a": "ü\n", "f": 0.5}
+    expected = payload_digest(payload)
+    python_path = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=str)
+    monkeypatch.setattr(engine_module, "_encode_payload", python_path.iterencode)
     assert payload_digest(payload) == expected
 
 

@@ -1,15 +1,17 @@
 """End-to-end runs: determinism, conservation, and accounting identities."""
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cloudmarket import simulation
 from cloudmarket.datacenter import fleet_specs
 from cloudmarket.exchange import WORLD
-from cloudmarket.simulation import compare_modes, run_scenario
-from cloudmarket.workload import load_scenario
+from cloudmarket.simulation import compare_modes, request_trace_digest, run_scenario
+from cloudmarket.workload import generate_requests, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -150,6 +152,44 @@ def test_compare_modes_pairs_the_request_trace():
     assert baseline.mode == "system_centric"
     assert [r.request_id for r in market.requests] == [
         r.request_id for r in baseline.requests]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["smoke.yaml", "two_class.yaml"])
+def test_compare_sides_equal_standalone_runs(name, seed, monkeypatch):
+    # the baseline replays the market side's request trace instead of
+    # generating its own; each side must still be the standalone run
+    scenario = load(name)
+    generated = []
+
+    def counting_generate(*args):
+        generated.append(args)
+        return generate_requests(*args)
+
+    monkeypatch.setattr(simulation, "generate_requests", counting_generate)
+    pair = compare_modes(scenario, seed=seed)
+    assert len(generated) == 1
+    monkeypatch.undo()
+    for side in pair:
+        alone = run_scenario(replace(scenario, mode=side.mode), seed)
+        assert side.summary.to_dict() == alone.summary.to_dict()
+        assert side.trace_text == alone.trace_text
+        assert side.collector.request_rows() == alone.collector.request_rows()
+        assert journal_rows(side) == journal_rows(alone)
+
+
+@pytest.mark.parametrize(
+    "name", ["example.yaml", "smoke.yaml", "two_class.yaml", "util_pricing.yaml"],
+)
+def test_request_generation_does_not_read_the_mode(name):
+    # compare_modes hands one generated trace to both sides, which is
+    # sound only while generation is a function of (scenario, seed)
+    scenario = load(name)
+    digests = {
+        request_trace_digest(generate_requests(replace(scenario, mode=mode), 0))
+        for mode in ("market", "system_centric")
+    }
+    assert len(digests) == 1
 
 
 def test_unknown_mode_is_refused():

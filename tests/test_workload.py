@@ -183,14 +183,18 @@ def test_validated_scenario_holds_the_runtime_types():
     ("pricing", {"kind": "utilization_linear", "base_rate": 1, "alpha": "-1/4"},
      "providers[0].pricing.alpha"),
     ("penalty", {"rate": -3}, "penalty.rate"),
-], ids=["fixed-rate", "peak-rate", "peak-multiplier", "base-rate", "alpha", "penalty-rate"])
+    ("brokers", [{"broker_id": "broker-a", "initial_funds": 10_000, "margin_rate": "-1/2"}],
+     "brokers[0].margin_rate"),
+], ids=["fixed-rate", "peak-rate", "peak-multiplier", "base-rate", "alpha", "penalty-rate",
+        "margin-rate"])
 def test_negative_rates_are_refused(section, value, path):
-    # a negative price or penalty would move money the wrong way at settlement
+    # a negative price, penalty or margin would move money the wrong way
+    # at settlement
     raw = minimal_raw()
     if section == "pricing":
         raw["providers"][0]["pricing"] = value
     else:
-        raw["penalty"] = value
+        raw[section] = value
     with pytest.raises(ValidationError) as exc:
         validate_scenario(raw)
     assert exc.value.field_path == path
