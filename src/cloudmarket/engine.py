@@ -200,15 +200,27 @@ class SimEngine:
 class TraceRecorder:
     """The run's one event log: every fired event, in firing order.
 
-    The summary's mean price, the cross-check and the trace file all
-    read this list; `lines()` renders it as the trace file's lines.
+    The cross-check and the trace file read this list.  `lines()`
+    renders it as the trace file's lines; `text()` joins them on first
+    call and keeps the text until the log grows, and `digest()` is the
+    sha256 of that text.  A run that reads neither renders nothing.
     """
 
     def __init__(self) -> None:
         self.events: list[Event] = []
+        self._text: tuple[int, str] | None = None  # (events rendered, text)
 
     def __call__(self, event: Event) -> None:
         self.events.append(event)
 
     def lines(self) -> list[str]:
         return [trace_line(ev) for ev in self.events]
+
+    def text(self) -> str:
+        # the log only grows, so its length says whether the text is stale
+        if self._text is None or self._text[0] != len(self.events):
+            self._text = (len(self.events), "\n".join(self.lines()))
+        return self._text[1]
+
+    def digest(self) -> str:
+        return hashlib.sha256(self.text().encode("utf-8")).hexdigest()

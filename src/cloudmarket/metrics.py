@@ -5,7 +5,8 @@ incremental aggregates and per-request records; the raw events live in
 the run's one event log (engine.TraceRecorder).  After a run the
 aggregates are recomputed from that log and reconciled against the
 money ledger; any disagreement raises instead of reporting silently
-wrong numbers.
+wrong numbers.  A summary's trace and scenario digests are computed
+on first read, so a run whose digests nobody reads hashes nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .engine import Event
 from .exchange import Ledger, WORLD
@@ -56,12 +59,10 @@ class RequestRecord:
 @dataclass
 class RunSummary:
     scenario: str
-    scenario_digest: str
     mode: str
     seed: int
     horizon: int
     events_fired: int
-    trace_digest: str
     submitted: int
     accepted: int
     served: int
@@ -82,7 +83,19 @@ class RunSummary:
     utilization: dict[str, float]
     budget_violations: int
     deadline_violations_served: int
-    mean_price: float | None = None
+    mean_price: float | None
+    # called on first read of the digest properties below, at most once
+    # each; a compare run reads neither
+    digest_scenario: Callable[[], str] = field(repr=False, compare=False)
+    digest_trace: Callable[[], str] = field(repr=False, compare=False)
+
+    @cached_property
+    def scenario_digest(self) -> str:
+        return self.digest_scenario()
+
+    @cached_property
+    def trace_digest(self) -> str:
+        return self.digest_trace()
 
     def to_dict(self) -> dict:
         return {
@@ -144,6 +157,8 @@ class MetricsCollector:
         self.negotiation_agreements = 0
         self.negotiation_breakdowns = 0
         self.penalties_paid: Money = 0
+        self.price_sum: Money = 0  # over accepted admissions that name a price
+        self.price_count = 0
 
     def observer(self, event: Event) -> None:
         self.record(event.fire_at, event.kind, event.payload)
@@ -180,6 +195,9 @@ class MetricsCollector:
                 rec.reject_reason = reason
             return
         self.accepted += 1
+        if p["price"] is not None:
+            self.price_sum += p["price"]
+            self.price_count += 1
         if rec is not None:
             rec.status = "accepted"
             rec.provider = p["provider"]
@@ -234,14 +252,13 @@ class MetricsCollector:
 
     def summary(
         self,
-        events: list[Event],
         scenario: str,
-        scenario_digest: str,
+        scenario_digest: Callable[[], str],
         mode: str,
         seed: int,
         horizon: int,
         events_fired: int,
-        trace_digest: str,
+        trace_digest: Callable[[], str],
         ledger: Ledger,
         initial_funds: dict[str, Money],
         provider_ids: list[str],
@@ -267,23 +284,16 @@ class MetricsCollector:
             1 for r in served_recs if r.consumer_paid > r.budget
         )
         deadline_violations_served = sum(1 for r in served_recs if r.lateness > 0)
-        accepted_prices = [
-            ev.payload["price"] for ev in events
-            if ev.kind == "admission" and ev.payload["accepted"]
-            and ev.payload.get("price") is not None
-        ]
         mean_price = (
-            float(Fraction(sum(accepted_prices), len(accepted_prices)))
-            if accepted_prices else None
+            float(Fraction(self.price_sum, self.price_count))
+            if self.price_count else None
         )
         return RunSummary(
             scenario=scenario,
-            scenario_digest=scenario_digest,
             mode=mode,
             seed=seed,
             horizon=horizon,
             events_fired=events_fired,
-            trace_digest=trace_digest,
             submitted=self.submitted,
             accepted=self.accepted,
             served=self.served,
@@ -305,6 +315,8 @@ class MetricsCollector:
             budget_violations=budget_violations,
             deadline_violations_served=deadline_violations_served,
             mean_price=mean_price,
+            digest_scenario=scenario_digest,
+            digest_trace=trace_digest,
         )
 
     def cross_check(self, events: list[Event], summary: RunSummary, ledger: Ledger,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property, partial
 
 from .allocator import Accept, ServiceRequest, SlaAllocator
 from .datacenter import Datacenter, fleet_specs
@@ -106,9 +107,16 @@ class RunResult:
     collector: MetricsCollector
     ledger: Ledger
     trace: TraceRecorder
-    trace_text: str  # the trace file's body, rendered once from trace.events
     requests: list[ServiceRequest]
-    request_digest: str
+
+    @property
+    def trace_text(self) -> str:
+        """The trace file's body, rendered from trace.events on first read."""
+        return self.trace.text()
+
+    @cached_property
+    def request_digest(self) -> str:
+        return request_trace_digest(self.requests)
 
 
 class _Run:
@@ -292,11 +300,12 @@ class _Run:
 
     # -- wrap-up ------------------------------------------------------------------
 
-    def finish(self) -> tuple[RunSummary, str]:
+    def finish(self) -> RunSummary:
         """Drain the run, then summarize and cross-check it from the one event log.
 
-        Returns the summary and the trace text, rendered once; the
-        summary's trace digest is the sha256 of that text.
+        The summary's trace and scenario digests are left to its first
+        read: the trace digest is the sha256 of `trace.text()`, the
+        same text the trace file holds.
         """
         self.engine.run_until(self.scenario.horizon)
         self.engine.drain()
@@ -314,16 +323,14 @@ class _Run:
             utilization[provider_id] = (
                 float(Fraction(self.delivered_cu[provider_id], denom)) if denom else 0.0
             )
-        trace_text = "\n".join(self.trace.lines())
         summary = self.collector.summary(
-            self.trace.events,
             scenario=self.scenario.name,
-            scenario_digest=scenario_digest(self.scenario),
+            scenario_digest=partial(scenario_digest, self.scenario),
             mode=self.mode,
             seed=self.seed,
             horizon=self.scenario.horizon,
             events_fired=len(self.trace.events),
-            trace_digest=hashlib.sha256(trace_text.encode("utf-8")).hexdigest(),
+            trace_digest=self.trace.digest,
             ledger=self.ledger,
             initial_funds=self.funded,
             provider_ids=sorted(self.providers),
@@ -334,7 +341,7 @@ class _Run:
         self.collector.cross_check(
             self.trace.events, summary, self.ledger, self.funded, sorted(self.proxies),
         )
-        return summary, trace_text
+        return summary
 
 
 # -- queue baseline ---------------------------------------------------------------
@@ -733,18 +740,15 @@ def run_scenario(
         raise ValueError(f"unknown mode {mode!r}")
     run.start()
     run.schedule_requests(requests)
-    summary, trace_text = run.finish()
     return RunResult(
         scenario=scenario,
         seed=seed,
         mode=mode,
-        summary=summary,
+        summary=run.finish(),
         collector=run.collector,
         ledger=run.ledger,
         trace=run.trace,
-        trace_text=trace_text,
         requests=requests,
-        request_digest=request_trace_digest(requests),
     )
 
 

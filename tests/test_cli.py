@@ -3,18 +3,21 @@
 import csv
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
 
+from cloudmarket import simulation
 from cloudmarket.allocator import REJECT_CAPACITY, Reject, SlaAllocator
 from cloudmarket.cli import main
-from cloudmarket.engine import SimEngine
+from cloudmarket.engine import SimEngine, TraceRecorder
 from cloudmarket.exchange import ReservationBook
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMOKE = str(SCENARIOS / "smoke.yaml")
+TWO_CLASS = str(SCENARIOS / "two_class.yaml")
 
 
 def read_csv(path):
@@ -120,11 +123,13 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_run_writes_all_four_artifacts(tmp_path, capsys):
+def test_run_writes_all_four_artifacts(tmp_path, capsys, renders):
     out = tmp_path / "out"
     code = main(["--scenario", SMOKE, "--out", str(out), "--seed", "5"])
     assert code == 0
-    capsys.readouterr()
+    # the summary, the report line and the trace file share one render
+    assert renders == {"trace": 1, "scenario": 1}
+    report = capsys.readouterr().out
     assert (out / "summary_seed5.json").is_file()
     assert (out / "metrics_seed5.csv").is_file()
     assert (out / "journal_seed5.csv").is_file()
@@ -145,6 +150,36 @@ def test_run_writes_all_four_artifacts(tmp_path, capsys):
     assert trace.endswith("\n")
     body = trace[:-1].encode("utf-8")
     assert hashlib.sha256(body).hexdigest() == summary["trace_digest"]
+    assert f"trace {summary['trace_digest'][:12]}" in report
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Count trace renders and scenario dumps, the work behind the digests."""
+    counts = Counter()
+    lines, dump = TraceRecorder.lines, simulation.dump_scenario
+
+    def counting_lines(recorder):
+        counts["trace"] += 1
+        return lines(recorder)
+
+    def counting_dump(scenario):
+        counts["scenario"] += 1
+        return dump(scenario)
+
+    monkeypatch.setattr(TraceRecorder, "lines", counting_lines)
+    monkeypatch.setattr(simulation, "dump_scenario", counting_dump)
+    return counts
+
+
+def test_compare_renders_no_trace_and_dumps_no_scenario(tmp_path, capsys, renders):
+    out = tmp_path / "cmp"
+    code = main(["--scenario", TWO_CLASS, "--out", str(out), "--mode", "compare",
+                 "--seeds", "0..1"])
+    assert code == 0
+    capsys.readouterr()
+    assert len(read_csv(out / "compare.csv")) == 2
+    assert renders == {}
 
 
 def test_rejected_backed_admission_exits_four_and_names_the_request(
@@ -218,12 +253,14 @@ def test_hold_before_the_prune_point_exits_four_and_names_it(
     assert "fits from t=" in err and "before t=" in err
 
 
-def test_trace_off_suppresses_the_log(tmp_path, capsys):
+def test_trace_off_suppresses_the_log(tmp_path, capsys, renders):
     out = tmp_path / "out"
     code = main(["--scenario", SMOKE, "--out", str(out), "--seed", "5",
                  "--trace", "off"])
     assert code == 0
     capsys.readouterr()
+    # the summary still carries both digests
+    assert renders == {"trace": 1, "scenario": 1}
     assert (out / "summary_seed5.json").is_file()
     assert not (out / "trace_seed5.log").exists()
 
@@ -244,11 +281,12 @@ def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     assert summaries[0] == summaries[1]
 
 
-def test_seed_sweep_writes_one_run_per_seed_plus_aggregate(tmp_path, capsys):
+def test_seed_sweep_writes_one_run_per_seed_plus_aggregate(tmp_path, capsys, renders):
     out = tmp_path / "sweep"
     code = main(["--scenario", SMOKE, "--out", str(out), "--seeds", "3..5"])
     assert code == 0
     capsys.readouterr()
+    assert renders == {"trace": 3, "scenario": 3}
     for seed in (3, 4, 5):
         assert (out / f"summary_seed{seed}.json").is_file()
     rows = read_csv(out / "aggregate.csv")

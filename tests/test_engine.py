@@ -169,6 +169,33 @@ def test_trace_line_format_is_tab_separated():
     assert digest == payload_digest(recorder.events[0].payload)
 
 
+def test_trace_text_is_rendered_once_and_never_stale(monkeypatch):
+    engine = SimEngine()
+    recorder = TraceRecorder()
+    engine.add_observer(recorder)
+    renders = []
+    lines = TraceRecorder.lines
+
+    def counting_lines(self):
+        renders.append(len(self.events))
+        return lines(self)
+
+    monkeypatch.setattr(TraceRecorder, "lines", counting_lines)
+    engine.emit("a", {"x": 1})
+    engine.drain()
+    first = recorder.text()
+    assert recorder.text() is first
+    assert recorder.digest() == hashlib.sha256(first.encode("utf-8")).hexdigest()
+    assert renders == [1]
+    # an event recorded after the render makes the kept text stale
+    engine.emit("b", {"y": 2})
+    engine.drain()
+    assert recorder.text() == "\n".join(trace_line(ev) for ev in recorder.events)
+    assert recorder.text().startswith(first + "\n")
+    assert recorder.digest() == hashlib.sha256(recorder.text().encode("utf-8")).hexdigest()
+    assert renders == [1, 2]
+
+
 def test_payload_digest_is_key_order_insensitive():
     assert payload_digest({"a": 1, "b": 2}) == payload_digest({"b": 2, "a": 1})
     assert payload_digest({"a": 1}) != payload_digest({"a": 2})

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,14 +28,13 @@ def feed(collector, events, at, kind, payload):
 def summarize(collector, events, ledger, *, initial_funds, providers, brokers,
               consumers, utilization=None):
     return collector.summary(
-        events,
         scenario="synthetic",
-        scenario_digest="0" * 16,
+        scenario_digest=lambda: "0" * 16,
         mode="market",
         seed=7,
         horizon=100,
         events_fired=len(events),
-        trace_digest="f" * 16,
+        trace_digest=lambda: "f" * 16,
         ledger=ledger,
         initial_funds=initial_funds,
         provider_ids=providers,
@@ -301,6 +301,9 @@ def test_aggregates_match_offline_recomputation():
                 if k == "request_served" and p["lateness"] > 0]
         assert summary.late == len(late)
         assert summary.total_lateness == sum(late)
+        prices = [p["price"] for _, k, p in events if k == "admission" and p["accepted"]]
+        assert summary.mean_price == (
+            float(Fraction(sum(prices), len(prices))) if prices else None)
         collector.cross_check(log, summary, ledger, {"acme": 10_000_000}, ["acme"])
 
 
@@ -310,11 +313,15 @@ def test_serialization_is_reproducible():
     assert first.to_json() == second.to_json()
     assert report(first) == report(second)
     # and the json body survives a round trip with key order intact
-    assert list(json.loads(first.to_json())) == [
+    body = json.loads(first.to_json())
+    assert list(body) == [
         "scenario", "scenario_digest", "mode", "seed", "horizon",
         "events_fired", "trace_digest", "requests", "service", "money",
         "market", "utilization",
     ]
+    # the digests are the summary's callables, read when serialized
+    assert body["scenario_digest"] == "0" * 16
+    assert body["trace_digest"] == "f" * 16
 
 
 def test_request_rows_are_sorted_and_complete():

@@ -1,5 +1,6 @@
 """End-to-end runs: determinism, conservation, and accounting identities."""
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -11,7 +12,7 @@ from cloudmarket import simulation
 from cloudmarket.datacenter import fleet_specs
 from cloudmarket.exchange import WORLD
 from cloudmarket.simulation import compare_modes, request_trace_digest, run_scenario
-from cloudmarket.workload import generate_requests, load_scenario
+from cloudmarket.workload import dump_scenario, generate_requests, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -190,6 +191,20 @@ def test_request_generation_does_not_read_the_mode(name):
         for mode in ("market", "system_centric")
     }
     assert len(digests) == 1
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["market", "system_centric"])
+@pytest.mark.parametrize("name", ["smoke.yaml", "two_class.yaml", "util_pricing.yaml"])
+def test_digests_read_on_demand_hash_what_they_name(name, mode):
+    scenario = load(name)
+    result = run_scenario(scenario, seed=0, mode=mode)
+    assert result.summary.trace_digest == _sha256(result.trace_text)
+    assert result.summary.scenario_digest == _sha256(dump_scenario(scenario))
+    assert result.request_digest == request_trace_digest(result.requests)
 
 
 def test_unknown_mode_is_refused():
