@@ -26,8 +26,6 @@ class QosSpec:
     budget: Money
     cpu_need: int
     mem_need: int
-    reliability_class: int = 0
-    security_class: int = 0
 
 
 @dataclass(frozen=True)
@@ -122,14 +120,10 @@ class SlaAllocator:
         engine: SimEngine,
         datacenter: Datacenter,
         pricing: PricingPolicy,
-        reliability_class: int = 0,
-        security_class: int = 0,
     ):
         self.engine = engine
         self.datacenter = datacenter
         self.pricing = pricing
-        self.reliability_class = reliability_class
-        self.security_class = security_class
 
     # -- admission -----------------------------------------------------------
 
@@ -207,13 +201,6 @@ class SlaAllocator:
         if price > qos.budget:
             return Reject(REJECT_BUDGET, f"quote {price} exceeds budget {qos.budget}")
 
-        if (qos.reliability_class > self.reliability_class
-                or qos.security_class > self.security_class):
-            return Reject(
-                REJECT_CAPACITY,
-                f"provider grades ({self.reliability_class}, {self.security_class}) "
-                f"below required ({qos.reliability_class}, {qos.security_class})",
-            )
         if enforce_deadline:
             latest_start = qos.deadline - runtime - boot
         else:

@@ -1,18 +1,18 @@
 """Deterministic discrete-event kernel.
 
 Integer tick clock, a heap-ordered event queue with (fire_at, priority,
-seq) ordering, named seeded random streams, and line-delimited trace
-emission. Every other component runs on top of this loop; a run is a
-pure function of (scenario, master_seed).
+seq) ordering, and line-delimited trace emission. Every other component
+runs on top of this loop. The loop draws no random numbers: the only
+randomness is the request trace, which `workload.generate_requests`
+seeds from (scenario, master_seed), so a run is a pure function of the
+two.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
-from random import Random
 from typing import Callable
 import heapq
 
@@ -21,14 +21,6 @@ SimTime = int
 
 class SchedulingInPast(Exception):
     """fire_at is earlier than the current clock."""
-
-
-class UnknownStream(Exception):
-    """draw() on a stream that was never registered."""
-
-
-class InvalidDistribution(Exception):
-    """Malformed or degenerate distribution spec."""
 
 
 @dataclass(slots=True)
@@ -60,65 +52,6 @@ def payload_digest(payload: dict) -> str:
 
 def trace_line(event: Event) -> str:
     return f"{event.fire_at}\t{event.seq}\t{event.kind}\t{payload_digest(event.payload)}"
-
-
-class RngStreams:
-    """Named random streams, each an independent generator.
-
-    A stream's sequence depends only on (master_seed, stream_id), never
-    on draws made from other streams. Seeding goes through the string
-    form so derivation is stable across platforms and processes.
-    """
-
-    def __init__(self, master_seed: int):
-        self.master_seed = master_seed
-        self._streams: dict[str, Random] = {}
-
-    def register(self, stream_id: str) -> None:
-        if stream_id not in self._streams:
-            self._streams[stream_id] = Random(f"{self.master_seed}/{stream_id}")
-
-    def get(self, stream_id: str) -> Random:
-        try:
-            return self._streams[stream_id]
-        except KeyError:
-            raise UnknownStream(stream_id) from None
-
-    def draw(self, stream_id: str, spec: dict) -> float | int:
-        """Next value of the named stream under a distribution spec.
-
-        Supported kinds: constant, uniform, uniform_int, exponential,
-        choice (optionally weighted).  Specs come from validated
-        scenarios (`workload._draw_spec`), so parameters are not
-        checked again here.
-        """
-        rng = self.get(stream_id)
-        kind = spec["dist"]
-        if kind == "constant":
-            return spec["value"]
-        if kind == "uniform":
-            low, high = spec["low"], spec["high"]
-            return low + (high - low) * rng.random()
-        if kind == "uniform_int":
-            low, high = spec["low"], spec["high"]
-            span = high - low + 1
-            return low + min(span - 1, int(rng.random() * span))
-        if kind == "exponential":
-            return -math.log(1.0 - rng.random()) / spec["rate"]
-        if kind == "choice":
-            values = spec["values"]
-            weights = spec.get("weights")
-            if weights is None:
-                return values[min(len(values) - 1, int(rng.random() * len(values)))]
-            total = sum(weights)
-            u = rng.random() * total
-            acc = 0.0
-            for value, weight in zip(values, weights):
-                acc += weight
-                if u < acc:
-                    return value
-            return values[-1]
-        raise InvalidDistribution(f"unknown distribution kind {kind!r}")
 
 
 class SimEngine:

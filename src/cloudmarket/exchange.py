@@ -160,7 +160,6 @@ class Order:
     unit_price: Money  # limit price per cpu-tick
     window_start: int
     window_end: int
-    expiry: int  # order leaves the book after this tick
     request_id: str | None = None
     filled: int = 0
 
@@ -201,7 +200,9 @@ class ClearingResult:
 class OrderBook:
     """Collects limit orders; a clearing matches them per delivery window.
 
-    Unfilled remainders rest in the book until their expiry passes.
+    One-shot call auction: a clearing empties the book.  A cycle submits
+    its orders and clears them at once, so what a clearing leaves has no
+    crossing pair and could never trade later.
     """
 
     def __init__(self) -> None:
@@ -218,7 +219,6 @@ class OrderBook:
         window_start: int,
         window_end: int,
         at: int,
-        expiry: int | None = None,
         request_id: str | None = None,
     ) -> int:
         if side not in (BID, ASK):
@@ -231,14 +231,10 @@ class OrderBook:
             raise InvalidOrder(f"empty window [{window_start}, {window_end})")
         if window_start <= at:
             raise InvalidOrder(f"window [{window_start}, ...) must lie in the future of {at}")
-        if expiry is None:
-            expiry = window_start
-        if expiry <= at:
-            raise InvalidOrder(f"order expired on arrival (expiry {expiry} at {at})")
         self._order_seq += 1
         order = Order(
             self._order_seq, side, actor, quantity, unit_price,
-            window_start, window_end, expiry, request_id,
+            window_start, window_end, request_id,
         )
         self.orders[order.order_id] = order
         return order.order_id
@@ -252,10 +248,8 @@ class OrderBook:
         rounded down.  Payments move buyer to seller through the ledger
         at the clearing price.
         """
-        live = [
-            o for o in self.orders.values()
-            if o.remaining > 0 and o.expiry >= at
-        ]
+        live = list(self.orders.values())
+        self.orders = {}
         trades: list[Trade] = []
         prices: dict[tuple[int, int], Money] = {}
         bid_quantity = sum(o.remaining for o in live if o.side == BID)
@@ -303,11 +297,6 @@ class OrderBook:
                         bid.actor, ask.actor, qty * clearing_price, at,
                         memo=f"trade {trade.trade_id}",
                     )
-        # expired and fully-filled orders no longer occupy the book
-        self.orders = {
-            oid: o for oid, o in self.orders.items()
-            if o.remaining > 0 and o.expiry > at
-        }
         return ClearingResult(at, trades, prices, bid_quantity, ask_quantity)
 
 

@@ -145,11 +145,7 @@ class _Run:
                 ]),
                 boot_delay=p.boot_delay,
             )
-            allocator = SlaAllocator(
-                self.engine, dc, p.pricing,
-                reliability_class=p.reliability_class,
-                security_class=p.security_class,
-            )
+            allocator = SlaAllocator(self.engine, dc, p.pricing)
             self.providers[p.provider_id] = _Provider(p, dc, allocator)
             self.ledger.open_account(p.provider_id)
             self.funded[p.provider_id] = 0
@@ -490,7 +486,7 @@ class _MarketRun(_Run):
             total += free
             self.book.submit(
                 ASK, provider_id, free, prov.spec.market.cost_floor,
-                window[0], window[1], now, expiry=now + 1,
+                window[0], window[1], now,
             )
         return total
 
@@ -518,7 +514,7 @@ class _MarketRun(_Run):
                 if action.kind == "bid":
                     self.book.submit(
                         BID, broker_id, action.quantity, action.limit_unit_price,
-                        window[0], window[1], now, expiry=now + 1,
+                        window[0], window[1], now,
                         request_id=action.request_id,
                     )
         return chosen

@@ -8,16 +8,19 @@ normalized form (rationals canonicalized to "p/q" strings).
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from math import ceil
+from itertools import accumulate, count
+from math import ceil, log
+from random import Random
+from typing import Callable
 
 import yaml
 
 from .allocator import (
     Fixed, PeakOffPeak, PricingPolicy, QosSpec, ServiceRequest, UtilizationLinear,
 )
-from .engine import RngStreams
 from .exchange import VariablePrice
 from .money import Money, as_fraction, ceil_div, frac_str, round_half_up
 from .negotiation import ConcessionSchedule, PenaltySchedule
@@ -92,19 +95,120 @@ def _check_keys(mapping: dict, path: str, required: set[str], optional: set[str]
             raise ValidationError(f"missing required field {key!r}", path)
 
 
+# -- workload distributions ------------------------------------------------------
+#
+# Validation builds one of these per workload field.  Each keeps the exact
+# rationals the dump writes, and `sampler(rng)` binds their float form once
+# and returns a zero-argument draw from `rng`.
+
+@dataclass(frozen=True)
+class Constant:
+    value: Fraction
+    kind: str = "constant"
+
+    def sampler(self, rng: Random) -> Callable[[], Fraction]:
+        value = self.value
+        return lambda: value
+
+
+@dataclass(frozen=True)
+class Uniform:
+    low: Fraction
+    high: Fraction
+    kind: str = "uniform"
+
+    def sampler(self, rng: Random) -> Callable[[], float]:
+        low, draw = float(self.low), rng.random
+        span = float(self.high) - low
+        return lambda: low + span * draw()
+
+
+@dataclass(frozen=True)
+class UniformInt:
+    low: int
+    high: int
+    kind: str = "uniform_int"
+
+    def sampler(self, rng: Random) -> Callable[[], int]:
+        low, draw = self.low, rng.random
+        span = self.high - low + 1
+        return lambda: low + min(span - 1, int(draw() * span))
+
+
+@dataclass(frozen=True)
+class Choice:
+    values: tuple
+    weights: tuple[Fraction, ...] | None = None
+    kind: str = "choice"
+
+    def sampler(self, rng: Random) -> Callable[[], object]:
+        values, draw = self.values, rng.random
+        n = len(values)
+        last = n - 1
+        if self.weights is None:
+            return lambda: values[min(last, int(draw() * n))]
+        weights = [float(w) for w in self.weights]
+        total = sum(weights)
+        running = list(accumulate(weights))
+        # the first value whose running weight exceeds the scaled draw
+        return lambda: values[min(last, bisect_right(running, draw() * total))]
+
+
+@dataclass(frozen=True)
+class Poisson:
+    """Arrivals with exponential gaps; submit times truncate the float clock."""
+
+    rate: Fraction
+    kind: str = "poisson"
+
+    def sampler(self, rng: Random) -> Callable[[], int]:
+        rate, draw = float(self.rate), rng.random
+
+        def submit_times():
+            clock = 0.0
+            while True:
+                clock += -log(1.0 - draw()) / rate
+                yield int(clock)
+        return submit_times().__next__
+
+
+@dataclass(frozen=True)
+class Periodic:
+    interval: int
+    kind: str = "periodic"
+
+    def sampler(self, rng: Random) -> Callable[[], int]:
+        return count(0, self.interval).__next__
+
+
+@dataclass(frozen=True)
+class TraceArrival:
+    """A literal request list, replayed as is under every seed."""
+
+    requests: tuple[ServiceRequest, ...]
+    kind: str = "trace"
+
+
 _DIST_PARAMS = {
     "constant": ({"value"}, set()),
     "uniform": ({"low", "high"}, set()),
     "uniform_int": ({"low", "high"}, set()),
-    "exponential": ({"rate"}, set()),
     "choice": ({"values"}, {"weights"}),
     "poisson": ({"rate"}, set()),
     "periodic": ({"interval"}, set()),
 }
 
 
-def _validate_dist(value, path: str, kinds: set[str], minimum: int | None = None) -> dict:
-    """Check a distribution config; `minimum` bounds every value it can draw."""
+def _at_least(value, minimum: int | None, path: str):
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"must be >= {minimum}, got {value}", path)
+    return value
+
+
+def _validate_dist(
+    value, path: str, kinds: set[str], minimum: int | None = None,
+) -> IntDistribution | RealDistribution | Poisson | Periodic:
+    """Build a distribution from its config; `minimum` bounds every value it can draw."""
     mapping = _as_mapping(value, path)
     kind = mapping.get("kind")
     if kind not in kinds:
@@ -113,65 +217,43 @@ def _validate_dist(value, path: str, kinds: set[str], minimum: int | None = None
         )
     required, optional = _DIST_PARAMS[kind]
     _check_keys(mapping, path, required | {"kind"}, optional)
-    out: dict = {"kind": kind}
     if kind == "constant":
-        out["value"] = _as_rational(mapping["value"], f"{path}.value")
-    elif kind in ("uniform", "exponential", "poisson"):
-        for key in required - {"kind"}:
-            out[key] = _as_rational(mapping[key], f"{path}.{key}")
-        if kind in ("exponential", "poisson") and out["rate"] <= 0:
+        value = _as_rational(mapping["value"], f"{path}.value")
+        return Constant(_at_least(value, minimum, f"{path}.value"))
+    if kind == "poisson":
+        rate = _as_rational(mapping["rate"], f"{path}.rate")
+        if rate <= 0:
             raise ValidationError("rate must be positive", f"{path}.rate")
-        if kind == "uniform" and out["low"] > out["high"]:
+        return Poisson(rate)
+    if kind == "periodic":
+        return Periodic(_as_int(mapping["interval"], f"{path}.interval", minimum=1))
+    if kind in ("uniform", "uniform_int"):
+        bound = _as_int if kind == "uniform_int" else _as_rational
+        low = bound(mapping["low"], f"{path}.low")
+        high = bound(mapping["high"], f"{path}.high")
+        if low > high:
             raise ValidationError("low must not exceed high", f"{path}.low")
-    elif kind == "uniform_int":
-        out["low"] = _as_int(mapping["low"], f"{path}.low")
-        out["high"] = _as_int(mapping["high"], f"{path}.high")
-        if out["low"] > out["high"]:
-            raise ValidationError("low must not exceed high", f"{path}.low")
-    elif kind == "periodic":
-        out["interval"] = _as_int(mapping["interval"], f"{path}.interval", minimum=1)
-    elif kind == "choice":
-        values = _as_list(mapping["values"], f"{path}.values")
-        if not values:
-            raise ValidationError("values must be non-empty", f"{path}.values")
-        out["values"] = [
-            _as_int(v, f"{path}.values[{i}]", minimum=minimum) for i, v in enumerate(values)
-        ]
-        if "weights" in mapping:
-            weights = _as_list(mapping["weights"], f"{path}.weights")
-            if len(weights) != len(values):
-                raise ValidationError("weights must match values", f"{path}.weights")
-            out["weights"] = []
-            for i, w in enumerate(weights):
-                weight = _as_rational(w, f"{path}.weights[{i}]")
-                if weight < 0:
-                    raise ValidationError(f"must be >= 0, got {w!r}", f"{path}.weights[{i}]")
-                out["weights"].append(weight)
-            if sum(out["weights"]) == 0:
-                raise ValidationError("weights must not all be zero", f"{path}.weights")
-    for key in ("value", "low"):
-        if minimum is not None and key in out and out[key] < minimum:
-            raise ValidationError(f"must be >= {minimum}, got {out[key]}", f"{path}.{key}")
-    return out
-
-
-def _draw_spec(dist: dict) -> dict:
-    """Convert a validated dist config into the engine's draw() spec."""
-    kind = dist["kind"]
-    if kind == "constant":
-        return {"dist": "constant", "value": dist["value"]}
-    if kind == "uniform":
-        return {"dist": "uniform", "low": float(dist["low"]), "high": float(dist["high"])}
-    if kind == "uniform_int":
-        return {"dist": "uniform_int", "low": dist["low"], "high": dist["high"]}
-    if kind in ("exponential", "poisson"):
-        return {"dist": "exponential", "rate": float(dist["rate"])}
-    if kind == "choice":
-        spec: dict = {"dist": "choice", "values": list(dist["values"])}
-        if "weights" in dist:
-            spec["weights"] = [float(w) for w in dist["weights"]]
-        return spec
-    raise ValidationError(f"cannot draw from kind {kind!r}")
+        _at_least(low, minimum, f"{path}.low")
+        return (UniformInt if kind == "uniform_int" else Uniform)(low, high)
+    # choice
+    values = _as_list(mapping["values"], f"{path}.values")
+    if not values:
+        raise ValidationError("values must be non-empty", f"{path}.values")
+    values = tuple(
+        _as_int(v, f"{path}.values[{i}]", minimum=minimum) for i, v in enumerate(values)
+    )
+    if "weights" not in mapping:
+        return Choice(values)
+    raw_weights = _as_list(mapping["weights"], f"{path}.weights")
+    if len(raw_weights) != len(values):
+        raise ValidationError("weights must match values", f"{path}.weights")
+    weights = tuple(
+        _at_least(_as_rational(w, f"{path}.weights[{i}]"), 0, f"{path}.weights[{i}]")
+        for i, w in enumerate(raw_weights)
+    )
+    if sum(weights) == 0:
+        raise ValidationError("weights must not all be zero", f"{path}.weights")
+    return Choice(values, weights)
 
 
 # -- scenario model ------------------------------------------------------------
@@ -208,15 +290,19 @@ class ConsumerSpec:
     top_k: int
 
 
+IntDistribution = Constant | UniformInt | Choice
+RealDistribution = Constant | Uniform | Choice
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
-    arrival: dict
+    arrival: Poisson | Periodic | TraceArrival
     count: int | None = None
-    volume: dict | None = None
-    cpu_need: dict | None = None
-    mem_need: dict | None = None
-    deadline_slack: dict | None = None
-    budget_factor: dict | None = None
+    volume: IntDistribution | None = None
+    cpu_need: IntDistribution | None = None
+    mem_need: IntDistribution | None = None
+    deadline_slack: RealDistribution | None = None
+    budget_factor: RealDistribution | None = None
     reference_rate: Fraction | None = None
 
 
@@ -340,28 +426,31 @@ def _validate_provider(value, path: str) -> ProviderSpec:
     )
 
 
-def _validate_trace(mapping: dict, path: str) -> dict:
+def _validate_trace(mapping: dict, path: str) -> TraceArrival:
     _check_keys(mapping, path, {"kind", "requests"})
-    entries = []
+    requests = []
     for i, item in enumerate(_as_list(mapping["requests"], f"{path}.requests")):
         epath = f"{path}.requests[{i}]"
         emap = _as_mapping(item, epath)
         _check_keys(emap, epath,
                     {"consumer_id", "submit_time", "volume", "cpu_need",
                      "mem_need", "deadline", "budget"})
-        entries.append({
-            "consumer_id": _as_str(emap["consumer_id"], f"{epath}.consumer_id"),
-            "submit_time": _as_int(emap["submit_time"], f"{epath}.submit_time", minimum=0),
-            "volume": _as_int(emap["volume"], f"{epath}.volume", minimum=1),
-            "cpu_need": _as_int(emap["cpu_need"], f"{epath}.cpu_need", minimum=1),
-            "mem_need": _as_int(emap["mem_need"], f"{epath}.mem_need", minimum=0),
-            "deadline": _as_int(emap["deadline"], f"{epath}.deadline", minimum=0),
-            "budget": _as_int(emap["budget"], f"{epath}.budget", minimum=0),
-        })
-    submits = [e["submit_time"] for e in entries]
+        requests.append(ServiceRequest(
+            request_id=f"req{i + 1:06d}",
+            consumer_id=_as_str(emap["consumer_id"], f"{epath}.consumer_id"),
+            submit_time=_as_int(emap["submit_time"], f"{epath}.submit_time", minimum=0),
+            workload_volume=_as_int(emap["volume"], f"{epath}.volume", minimum=1),
+            qos=QosSpec(
+                cpu_need=_as_int(emap["cpu_need"], f"{epath}.cpu_need", minimum=1),
+                mem_need=_as_int(emap["mem_need"], f"{epath}.mem_need", minimum=0),
+                deadline=_as_int(emap["deadline"], f"{epath}.deadline", minimum=0),
+                budget=_as_int(emap["budget"], f"{epath}.budget", minimum=0),
+            ),
+        ))
+    submits = [r.submit_time for r in requests]
     if submits != sorted(submits):
         raise ValidationError("requests must be sorted by submit_time", f"{path}.requests")
-    return {"kind": "trace", "requests": entries}
+    return TraceArrival(tuple(requests))
 
 
 def validate_scenario(raw, source: str = "<scenario>") -> Scenario:
@@ -456,10 +545,10 @@ def validate_scenario(raw, source: str = "<scenario>") -> Scenario:
         _check_keys(wmap, wpath, {"arrival"})
         workload = WorkloadSpec(arrival=_validate_trace(arrival_map, f"{wpath}.arrival"))
         consumer_ids = {c.consumer_id for c in consumers}
-        for i, entry in enumerate(workload.arrival["requests"]):
-            if entry["consumer_id"] not in consumer_ids:
+        for i, request in enumerate(workload.arrival.requests):
+            if request.consumer_id not in consumer_ids:
                 raise ValidationError(
-                    f"unknown consumer {entry['consumer_id']!r}",
+                    f"unknown consumer {request.consumer_id!r}",
                     f"{wpath}.arrival.requests[{i}].consumer_id",
                 )
     else:
@@ -558,7 +647,8 @@ def _dist_dict(dist: dict) -> dict:
         elif key in ("values",):
             out[key] = list(value)
         elif key == "weights":
-            out[key] = [_num(w) for w in value]
+            if value is not None:  # unweighted choice
+                out[key] = [_num(w) for w in value]
         elif key == "peak_windows":
             out[key] = [[s, e] for s, e in value]
         elif isinstance(value, Fraction):
@@ -570,25 +660,29 @@ def _dist_dict(dist: dict) -> dict:
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical plain-data form; dump + reload gives the same Scenario."""
-    if s.workload.arrival["kind"] == "trace":
+    w = s.workload
+    if isinstance(w.arrival, TraceArrival):
         workload: dict = {
             "arrival": {
                 "kind": "trace",
-                "requests": [dict(e) for e in s.workload.arrival["requests"]],
+                "requests": [
+                    {"consumer_id": r.consumer_id, "submit_time": r.submit_time,
+                     "volume": r.workload_volume, "cpu_need": r.qos.cpu_need,
+                     "mem_need": r.qos.mem_need, "deadline": r.qos.deadline,
+                     "budget": r.qos.budget}
+                    for r in w.arrival.requests
+                ],
             },
         }
     else:
         workload = {
-            "arrival": _dist_dict(s.workload.arrival),
-            "volume": _dist_dict(s.workload.volume),
-            "cpu_need": _dist_dict(s.workload.cpu_need),
-            "mem_need": _dist_dict(s.workload.mem_need),
-            "deadline_slack": _dist_dict(s.workload.deadline_slack),
-            "budget_factor": _dist_dict(s.workload.budget_factor),
-            "reference_rate": _num(s.workload.reference_rate),
+            key: _dist_dict(asdict(getattr(w, key)))
+            for key in ("arrival", "volume", "cpu_need", "mem_need",
+                        "deadline_slack", "budget_factor")
         }
-        if s.workload.count is not None:
-            workload["count"] = s.workload.count
+        workload["reference_rate"] = _num(w.reference_rate)
+        if w.count is not None:
+            workload["count"] = w.count
     out: dict = {
         "format_version": s.format_version,
         "name": s.name,
@@ -643,62 +737,41 @@ def dump_scenario(s: Scenario) -> str:
 def generate_requests(scenario: Scenario, master_seed: int) -> list[ServiceRequest]:
     """Deterministically draw the request trace for a scenario and seed.
 
-    Every attribute pulls from its own named stream, so adding a new
-    attribute or consumer never disturbs the arrival process.
+    Every attribute draws from its own stream, seeded from the master
+    seed and the stream's name, so adding a new attribute or consumer
+    never disturbs the arrival process.
     """
     w = scenario.workload
-    if w.arrival["kind"] == "trace":
-        return [
-            ServiceRequest(
-                request_id=f"req{i + 1:06d}",
-                consumer_id=entry["consumer_id"],
-                submit_time=entry["submit_time"],
-                workload_volume=entry["volume"],
-                qos=QosSpec(
-                    deadline=entry["deadline"],
-                    budget=entry["budget"],
-                    cpu_need=entry["cpu_need"],
-                    mem_need=entry["mem_need"],
-                ),
-            )
-            for i, entry in enumerate(w.arrival["requests"])
-        ]
+    if isinstance(w.arrival, TraceArrival):
+        return list(w.arrival.requests)
 
-    streams = RngStreams(master_seed)
-    for stream_id in GENERATOR_STREAMS:
-        streams.register(stream_id)
-
+    rng = {stream: Random(f"{master_seed}/{stream}") for stream in GENERATOR_STREAMS}
+    next_submit = w.arrival.sampler(rng["arrival"])
+    draw_volume = w.volume.sampler(rng["volume"])
+    draw_cpu = w.cpu_need.sampler(rng["cpu_need"])
+    draw_mem = w.mem_need.sampler(rng["mem_need"])
+    draw_slack = w.deadline_slack.sampler(rng["deadline"])
+    draw_budget = w.budget_factor.sampler(rng["budget"])
+    draw_consumer = Choice(tuple(c.consumer_id for c in scenario.consumers)).sampler(
+        rng["consumer"],
+    )
     boot_allowance = scenario.max_boot_delay()
-    consumer_ids = [c.consumer_id for c in scenario.consumers]
     requests: list[ServiceRequest] = []
-    arrival = w.arrival
-    arrival_spec = _draw_spec(arrival) if arrival["kind"] == "poisson" else None
-    volume_spec = _draw_spec(w.volume)
-    cpu_spec = _draw_spec(w.cpu_need)
-    mem_spec = _draw_spec(w.mem_need)
-    slack_spec = _draw_spec(w.deadline_slack)
-    budget_spec = _draw_spec(w.budget_factor)
-    consumer_spec = {"dist": "choice", "values": consumer_ids}
-    clock = 0.0
     index = 0
     while True:
-        if arrival_spec is not None:
-            clock += streams.draw("arrival", arrival_spec)
-            submit = int(clock)
-        else:
-            submit = index * arrival["interval"]
+        submit = next_submit()
         if submit >= scenario.horizon:
             break
         if w.count is not None and index >= w.count:
             break
         index += 1
         # validation keeps volume, cpu_need and slack draws at 1 or more
-        volume = int(streams.draw("volume", volume_spec))
-        cpu_need = int(streams.draw("cpu_need", cpu_spec))
-        mem_need = int(streams.draw("mem_need", mem_spec))
-        slack = float(streams.draw("deadline", slack_spec))
-        budget_factor = float(streams.draw("budget", budget_spec))
-        consumer = streams.draw("consumer", consumer_spec)
+        volume = int(draw_volume())
+        cpu_need = int(draw_cpu())
+        mem_need = int(draw_mem())
+        slack = float(draw_slack())
+        budget_factor = float(draw_budget())
+        consumer = draw_consumer()
         ideal_runtime = ceil_div(volume, cpu_need)
         deadline = submit + boot_allowance + int(ceil(slack * ideal_runtime))
         budget = round_half_up(

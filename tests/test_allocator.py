@@ -21,16 +21,16 @@ from cloudmarket.datacenter import Datacenter, MachineCalendar
 from cloudmarket.engine import SimEngine
 
 
-def make_allocator(specs, rate=1, boot_delay=0, **kwargs):
+def make_allocator(specs, rate=1, boot_delay=0):
     engine = SimEngine()
     dc = Datacenter(engine, "prov", specs, boot_delay=boot_delay)
-    return SlaAllocator(engine, dc, Fixed(rate=Fraction(rate)), **kwargs)
+    return SlaAllocator(engine, dc, Fixed(rate=Fraction(rate)))
 
 
-def request(request_id, submit, volume, cpu, deadline, budget, mem=1, **qos_kwargs):
+def request(request_id, submit, volume, cpu, deadline, budget, mem=1):
     return ServiceRequest(
         request_id, "acme", submit, volume,
-        QosSpec(deadline, budget, cpu, mem, **qos_kwargs),
+        QosSpec(deadline, budget, cpu, mem),
     )
 
 
@@ -110,17 +110,6 @@ def test_rejects_when_no_slot_exists():
     assert isinstance(alloc.examine(first, at=0), Accept)
     second = request("req000002", 0, volume=40, cpu=4, deadline=10, budget=10_000)
     decision = alloc.examine(second, at=0)
-    assert isinstance(decision, Reject)
-    assert decision.reason == REJECT_CAPACITY
-
-
-def test_grade_mismatch_reads_as_missing_capacity():
-    alloc = make_allocator([("m1", 4, 16)], reliability_class=1, security_class=0)
-    req = request(
-        "req000001", 0, volume=4, cpu=1, deadline=100, budget=1_000,
-        reliability_class=2,
-    )
-    decision = alloc.examine(req, at=0)
     assert isinstance(decision, Reject)
     assert decision.reason == REJECT_CAPACITY
 

@@ -2,23 +2,24 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import cloudmarket.engine as engine_module
 from cloudmarket.engine import (
     Event,
-    RngStreams,
     SchedulingInPast,
     SimEngine,
     TraceRecorder,
-    UnknownStream,
     payload_digest,
     trace_line,
 )
+from cloudmarket.workload import Uniform, generate_requests, load_scenario, validate_scenario
 
 
 def test_first_scheduled_event_gets_id_zero():
@@ -133,13 +134,12 @@ def test_drain_runs_past_follow_up_events():
 
 def _traced_run(master_seed):
     engine = SimEngine()
-    streams = RngStreams(master_seed)
-    streams.register("arrivals")
+    rng = random.Random(f"{master_seed}/arrivals")
     recorder = TraceRecorder()
     engine.add_observer(recorder)
 
     def arrival(ev):
-        gap = streams.draw("arrivals", {"dist": "uniform_int", "low": 1, "high": 9})
+        gap = rng.randint(1, 9)
         if ev.payload["n"] < 30:
             engine.schedule(
                 "arrival", {"n": ev.payload["n"] + 1}, fire_at=engine.clock + gap
@@ -239,45 +239,38 @@ def test_observers_see_events_handlers_ignore():
 
 
 # -- seeded streams -----------------------------------------------------------------
+# the event loop draws nothing; `generate_requests` seeds one Random per
+# request attribute, and each distribution draws from its own
 
 
 def test_uniform_degenerate_support_returns_the_point():
-    streams = RngStreams(3)
-    streams.register("s")
-    assert streams.draw("s", {"dist": "uniform", "low": 0, "high": 0}) == 0
-
-
-def test_unregistered_stream_is_an_error():
-    streams = RngStreams(3)
-    with pytest.raises(UnknownStream):
-        streams.draw("ghost", {"dist": "constant", "value": 1})
+    draw = Uniform(Fraction(0), Fraction(0)).sampler(random.Random(3))
+    assert draw() == 0
 
 
 def test_streams_are_isolated():
-    # oracle: record stream B alone, then interleaved with A; B unchanged
-    spec = {"dist": "uniform_int", "low": 0, "high": 1000}
+    # oracle: generate, then again with the volume and cpu_need
+    # distributions changed; attributes drawn from other streams stay
+    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    base = generate_requests(validate_scenario(raw), 9)
+    raw["workload"]["volume"] = {"kind": "choice", "values": [5, 500], "weights": [1, 3]}
+    raw["workload"]["cpu_need"] = {"kind": "uniform_int", "low": 1, "high": 16}
+    changed = generate_requests(validate_scenario(raw), 9)
 
-    alone = RngStreams(9)
-    alone.register("b")
-    b_alone = [alone.draw("b", spec) for _ in range(50)]
+    def others(r):
+        return (r.request_id, r.submit_time, r.consumer_id, r.qos.mem_need)
 
-    mixed = RngStreams(9)
-    mixed.register("a")
-    mixed.register("b")
-    b_mixed = []
-    for i in range(50):
-        for _ in range(i % 3):
-            mixed.draw("a", spec)
-        b_mixed.append(mixed.draw("b", spec))
-
-    assert b_alone == b_mixed
+    assert [r.workload_volume for r in changed] != [r.workload_volume for r in base]
+    assert [others(r) for r in changed] == [others(r) for r in base]
 
 
 def test_stream_seed_derivation_is_reproducible():
-    expected = random.Random("77/jobs").random()
-    streams = RngStreams(77)
-    streams.register("jobs")
-    assert streams.draw("jobs", {"dist": "uniform", "low": 0, "high": 1}) == expected
+    # each stream is Random(f"{master_seed}/{name}"), whatever the others draw
+    scenario = load_scenario("scenarios/smoke.yaml")  # poisson 1/10, volume 20..80
+    first = generate_requests(scenario, 77)[0]
+    gap = -math.log(1.0 - random.Random("77/arrival").random()) / 0.1
+    assert first.submit_time == int(gap)
+    assert first.workload_volume == 20 + int(random.Random("77/volume").random() * 61)
 
 
 @settings(max_examples=200)

@@ -127,12 +127,6 @@ def test_zero_quantity_is_invalid():
         book.submit(BID, "broker-a", 0, 9, 10, 20, at=0)
 
 
-def test_expired_on_arrival_is_invalid():
-    book = OrderBook()
-    with pytest.raises(InvalidOrder):
-        book.submit(BID, "broker-a", 1, 9, 10, 20, at=5, expiry=5)
-
-
 def test_window_must_lie_ahead():
     book = OrderBook()
     with pytest.raises(InvalidOrder):
@@ -185,20 +179,13 @@ def test_clearing_settles_through_the_ledger():
     assert ledger.balance("s1") == 4 * price
 
 
-def test_filled_orders_leave_residuals_resting():
-    book, ids = submit_book([(BID, "b1", 5, 10), (ASK, "s1", 2, 6)])
-    result = book.clear(at=1)
-    assert sum(t.quantity for t in result.trades) == 2
-    # the filled ask leaves the book; the bid's residual rests
-    assert list(book.orders) == [ids[0]]
-    assert book.orders[ids[0]].remaining == 3
-
-
-def test_expired_residuals_are_purged():
-    book, ids = submit_book([(BID, "b1", 5, 10)], window=(10, 20))
-    # default expiry is window_start
-    book.clear(at=10)
-    assert ids[0] not in book.orders
+def test_clearing_empties_the_book():
+    # one-shot call auction: an unfilled order does not rest into the
+    # next clearing, even one before its window starts
+    book, _ = submit_book([(BID, "b1", 3, 0)], window=(1, 2))
+    assert book.clear(at=0).bid_quantity == 3
+    assert book.orders == {}
+    assert book.clear(at=1).bid_quantity == 0
 
 
 def _brute_force_max_quantity(bids, asks):

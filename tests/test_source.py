@@ -22,12 +22,14 @@ def test_no_invariant_rests_on_assert():
 
 
 def test_scenario_policies_are_built_only_by_validation():
-    # validation builds the pricing, market-price, penalty and concession
-    # objects a run uses; a second constructor site would be a second
-    # model of the same scenario fact
+    # validation builds the pricing, market-price, penalty, concession and
+    # workload distribution objects a run uses; a second constructor site
+    # would be a second model of the same scenario fact
     policies = {
         "Fixed", "PeakOffPeak", "UtilizationLinear",
         "VariablePrice", "PenaltySchedule", "ConcessionSchedule",
+        "Constant", "Uniform", "UniformInt", "Choice", "Poisson", "Periodic",
+        "TraceArrival",
     }
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -43,6 +45,25 @@ def test_scenario_policies_are_built_only_by_validation():
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert list(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+def test_only_workload_imports_random():
+    # request generation seeds every stream from (master_seed, stream
+    # name); a generator seeded anywhere else would escape that seeding
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "random" for m in modules):
+                found.append(path.name)
+    assert list(SRC.glob("*.py")), f"no sources under {SRC}"
+    assert sorted(set(found)) == ["workload.py"]
 
 
 def test_bench_tracer_wraps_every_name():

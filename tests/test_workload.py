@@ -10,8 +10,15 @@ import yaml
 from cloudmarket.allocator import Fixed, PeakOffPeak, UtilizationLinear
 from cloudmarket.exchange import VariablePrice
 from cloudmarket.negotiation import ConcessionSchedule, PenaltySchedule
+from cloudmarket.simulation import request_trace_digest
 from cloudmarket.workload import (
+    Choice,
+    Constant,
     ParseError,
+    Periodic,
+    Poisson,
+    Uniform,
+    UniformInt,
     ValidationError,
     dump_scenario,
     generate_requests,
@@ -169,6 +176,21 @@ def test_validated_scenario_holds_the_runtime_types():
     assert validate_scenario(raw).providers[0].pricing == UtilizationLinear(
         base_rate=Fraction(3), alpha=Fraction(1, 2),
     )
+    assert scenario.workload.arrival == Poisson(Fraction(1, 10))
+    assert scenario.workload.deadline_slack == Constant(Fraction(3))
+    raw["workload"].update({
+        "arrival": {"kind": "periodic", "interval": 5},
+        "volume": {"kind": "uniform_int", "low": 2, "high": 9},
+        "cpu_need": {"kind": "choice", "values": [1, 4]},
+        "mem_need": {"kind": "choice", "values": [0, 2], "weights": [1, "1/2"]},
+        "budget_factor": {"kind": "uniform", "low": 2, "high": "7/2"},
+    })
+    workload = validate_scenario(raw).workload
+    assert workload.arrival == Periodic(5)
+    assert workload.volume == UniformInt(2, 9)
+    assert workload.cpu_need == Choice((1, 4))
+    assert workload.mem_need == Choice((0, 2), (Fraction(1), Fraction(1, 2)))
+    assert workload.budget_factor == Uniform(Fraction(2), Fraction(7, 2))
 
 
 @pytest.mark.parametrize("section, value, path", [
@@ -438,6 +460,54 @@ def test_attribute_streams_are_independent_of_arrival_spacing():
     for a, b in zip(dense, sparse):
         assert a.workload_volume == b.workload_volume
         assert a.qos.budget == b.qos.budget
+
+
+def constant_periodic_raw():
+    # every draw constant, slack and budget factor non-integer
+    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    raw["workload"] = {
+        "arrival": {"kind": "periodic", "interval": 7},
+        "volume": {"kind": "constant", "value": 30},
+        "cpu_need": {"kind": "constant", "value": 2},
+        "mem_need": {"kind": "constant", "value": 4},
+        "deadline_slack": {"kind": "constant", "value": "5/2"},
+        "budget_factor": {"kind": "constant", "value": "3/2"},
+        "reference_rate": "13/2",
+    }
+    return raw
+
+
+def trace_raw():
+    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    raw["workload"] = {"arrival": {"kind": "trace", "requests": [
+        {"consumer_id": "zenith", "submit_time": 0, "volume": 40, "cpu_need": 4,
+         "mem_need": 8, "deadline": 30, "budget": 900},
+        {"consumer_id": "acme", "submit_time": 0, "volume": 12, "cpu_need": 1,
+         "mem_need": 0, "deadline": 25, "budget": 0},
+        {"consumer_id": "acme", "submit_time": 17, "volume": 60, "cpu_need": 2,
+         "mem_need": 2, "deadline": 140, "budget": 2400},
+    ]}}
+    return raw
+
+
+@pytest.mark.parametrize("make_raw, count, digests", [
+    (constant_periodic_raw, 86, {
+        0: "11ca9afe55e4238a47297773f93692b4186136110cda6eaf7db4fc9c79e3025b",
+        5: "bbf541700fd07556745560911986d6a0e625f810810ba41f2eb8a1ceee491558",
+    }),
+    (trace_raw, 3, {
+        0: "38cdac97b6f1da8bc108e6df163b0d1e7d2803166d41ec498af15331d2aa7620",
+        5: "38cdac97b6f1da8bc108e6df163b0d1e7d2803166d41ec498af15331d2aa7620",
+    }),
+], ids=["constant_periodic", "trace"])
+def test_generation_is_pinned_for_kinds_no_shipped_scenario_draws(make_raw, count, digests):
+    # the golden digests draw only poisson, uniform, uniform_int and
+    # choice; these pin constant draws, periodic arrival and a trace
+    scenario = validate_scenario(make_raw())
+    for seed, digest in digests.items():
+        requests = generate_requests(scenario, seed)
+        assert len(requests) == count
+        assert request_trace_digest(requests) == digest
 
 
 # -- consumer-side broker choice -------------------------------------------------------
