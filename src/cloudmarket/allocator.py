@@ -133,8 +133,7 @@ class SlaAllocator:
         at: int,
         backing: tuple[str, int, int] | None = None,
         agreed_price: Money | None = None,
-        enforce_deadline: bool = True,
-        horizon: int | None = None,
+        search_until: int | None = None,
     ) -> Decision:
         """Admit or reject a request at tick `at`.
 
@@ -142,12 +141,11 @@ class SlaAllocator:
         whose capacity was already reserved; the plan then sits inside the
         reservation and no new commitment is made.  `agreed_price`
         overrides the posted quote when a price was already negotiated.
-        With `enforce_deadline` off, slots past the deadline are searched
-        up to `horizon` and lateness is settled through penalties instead.
+        `search_until`, when given, replaces the deadline as the tick the
+        work must end by: slots past the deadline are searched up to it and
+        lateness is settled through penalties instead.
         """
-        decision = self._examine_inner(
-            request, at, backing, agreed_price, enforce_deadline, horizon
-        )
+        decision = self._examine_inner(request, at, backing, agreed_price, search_until)
         payload = {
             "provider": self.datacenter.provider_id,
             "request_id": request.request_id,
@@ -173,8 +171,7 @@ class SlaAllocator:
         at: int,
         backing: tuple[str, int, int] | None,
         agreed_price: Money | None,
-        enforce_deadline: bool,
-        horizon: int | None,
+        search_until: int | None,
     ) -> Decision:
         qos = request.qos
         runtime = request.runtime
@@ -192,7 +189,7 @@ class SlaAllocator:
             ))
 
         # fastest possible finish on an idle machine
-        if enforce_deadline and at + boot + runtime > qos.deadline:
+        if search_until is None and at + boot + runtime > qos.deadline:
             return Reject(
                 REJECT_DEADLINE,
                 f"needs {boot + runtime} ticks from {at}, deadline {qos.deadline}",
@@ -201,10 +198,8 @@ class SlaAllocator:
         if price > qos.budget:
             return Reject(REJECT_BUDGET, f"quote {price} exceeds budget {qos.budget}")
 
-        if enforce_deadline:
-            latest_start = qos.deadline - runtime - boot
-        else:
-            latest_start = (horizon if horizon is not None else qos.deadline * 4) - runtime - boot
+        end_by = qos.deadline if search_until is None else search_until
+        latest_start = end_by - runtime - boot
         slot = self.datacenter.earliest_slot(
             at, latest_start, boot + runtime, qos.cpu_need, qos.mem_need,
         )

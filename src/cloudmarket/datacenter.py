@@ -1,12 +1,12 @@
-"""Physical machines, VM lifecycle, and per-machine commitment calendars.
+"""Per-machine commitment calendars and the VM lifecycle.
 
-Each machine's commitment calendar is the one record of committed
-capacity: admission and reservations add blocks to it, and it never
-promises more than the machine has at any tick.  A VM starts only inside
-its block, and the engine fires a tick's releases before its provisions,
-so the VMs a machine hosts fit its capacity too.  `provision_vm` checks
-that once more against the hosted VMs; a breach is a simulator bug and
-fails the run.
+Each machine's commitment calendar is the one record of its capacity
+and of what is committed on it: admission and reservations add blocks
+to it, and it never promises more than the machine has at any tick.
+A VM starts only inside its block, and the engine fires a tick's
+releases before its provisions, so the VMs a machine hosts fit its
+capacity too.  `provision_vm` checks that once more against the VMs in
+`Datacenter.hosted`; a breach is a simulator bug and fails the run.
 
 A calendar keeps its committed usage as a step function over sorted
 breakpoints, the availability profile of conservative backfilling, so a
@@ -19,7 +19,7 @@ no usage from before the prune point, and a query into that past raises
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
@@ -46,14 +46,6 @@ class VmBusy(Exception):
 
 class CapacityViolation(Exception):
     """Internal invariant breach; signals a simulator bug, not bad input."""
-
-
-@dataclass
-class PhysicalMachine:
-    machine_id: str
-    cpu_capacity: int
-    mem_capacity: int
-    hosted: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -233,7 +225,7 @@ class MachineCalendar:
 
 
 class Datacenter:
-    """One provider's fleet: machines, calendars, and the VM population.
+    """One provider's fleet: machine calendars and the VM population.
 
     Lifecycle notes are emitted as same-tick events on the owning
     engine; VM boot completion and request completion are scheduled
@@ -250,11 +242,12 @@ class Datacenter:
         self.engine = engine
         self.provider_id = provider_id
         self.boot_delay = boot_delay
-        self.machines: dict[str, PhysicalMachine] = {}
         self.calendars: dict[str, MachineCalendar] = {}
+        # machine_id -> ids of the VMs running on it
+        self.hosted: dict[str, set[str]] = {}
         for machine_id, cpu, mem in machine_specs:
-            self.machines[machine_id] = PhysicalMachine(machine_id, cpu, mem)
             self.calendars[machine_id] = MachineCalendar(cpu, mem)
+            self.hosted[machine_id] = set()
         self.vms: dict[str, Vm] = {}
         self._vm_counter = 0
 
@@ -262,7 +255,7 @@ class Datacenter:
 
     @property
     def total_cpu_capacity(self) -> int:
-        return sum(m.cpu_capacity for m in self.machines.values())
+        return sum(cal.cpu_capacity for cal in self.calendars.values())
 
     def committed_cpu_at(self, t: int) -> int:
         return sum(cal.usage_at(t)[0] for cal in self.calendars.values())
@@ -285,7 +278,7 @@ class Datacenter:
     ) -> tuple[str, int] | None:
         """Earliest (machine, start) able to host the block, ties by machine id."""
         best: tuple[str, int] | None = None
-        for machine_id in sorted(self.machines):
+        for machine_id in sorted(self.calendars):
             start = self.calendars[machine_id].earliest_fit(
                 earliest, latest_start, duration, cpu, mem,
             )
@@ -304,9 +297,10 @@ class Datacenter:
     ) -> str:
         if cpu_entitlement <= 0:
             raise InsufficientCapacity("entitlement must be positive")
-        machine = self.machines[machine_id]
-        used_cpu = sum(self.vms[v].cpu_entitlement for v in machine.hosted)
-        used_mem = sum(self.vms[v].mem_entitlement for v in machine.hosted)
+        machine = self.calendars[machine_id]
+        hosted = self.hosted[machine_id]
+        used_cpu = sum(self.vms[v].cpu_entitlement for v in hosted)
+        used_mem = sum(self.vms[v].mem_entitlement for v in hosted)
         if (used_cpu + cpu_entitlement > machine.cpu_capacity
                 or used_mem + mem_entitlement > machine.mem_capacity):
             raise InsufficientCapacity(
@@ -324,7 +318,7 @@ class Datacenter:
             ready_at=at + self.boot_delay,
         )
         self.vms[vm_id] = vm
-        machine.hosted.add(vm_id)
+        hosted.add(vm_id)
         self.engine.emit("vm_provision", {
             "provider": self.provider_id, "vm_id": vm_id, "machine": machine_id,
             "cpu": cpu_entitlement, "mem": mem_entitlement, "ready_at": vm.ready_at,
@@ -342,7 +336,7 @@ class Datacenter:
             raise AlreadyStopped(vm_id)
         vm.stopped = True
         vm.assigned_request = None
-        self.machines[vm.host].hosted.discard(vm_id)
+        self.hosted[vm.host].discard(vm_id)
         self.engine.emit("vm_release", {
             "provider": self.provider_id, "vm_id": vm_id, "machine": vm.host,
             "cpu": vm.cpu_entitlement, "mem": vm.mem_entitlement,

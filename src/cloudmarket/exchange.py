@@ -1,4 +1,4 @@
-"""Market infrastructure: directory, double auction, bank ledger, reservations.
+"""Market infrastructure: double auction, bank ledger, broker policy, reservations.
 
 Money only moves through the double-entry ledger, whose balances sum to
 zero at every instant (the designated world account absorbs funding).
@@ -18,10 +18,6 @@ from .negotiation import Sla
 
 BID = "bid"
 ASK = "ask"
-
-
-class InvalidListing(Exception):
-    pass
 
 
 class UnknownAccount(Exception):
@@ -46,38 +42,6 @@ class AlreadySettled(Exception):
 
 class ConservationError(Exception):
     """Ledger balances stopped summing to zero; a simulator bug."""
-
-
-# -- directory ---------------------------------------------------------------
-
-@dataclass
-class Listing:
-    participant_id: str
-    price_hint: Money  # advisory price per cpu-tick
-
-
-class MarketDirectory:
-    """Provider listings that brokers consult for posted prices.
-
-    One live listing per provider; re-registering replaces it.
-    Queries sort by participant_id.
-    """
-
-    def __init__(self) -> None:
-        self.listings: dict[str, Listing] = {}
-
-    def register(self, listing: Listing) -> None:
-        if listing.price_hint < 0:
-            raise InvalidListing("price_hint must be >= 0")
-        self.listings[listing.participant_id] = listing
-
-    def update_price_hint(self, participant_id: str, price_hint: Money) -> None:
-        if participant_id not in self.listings:
-            raise InvalidListing(f"no listing for {participant_id}")
-        self.listings[participant_id].price_hint = price_hint
-
-    def query(self) -> list[Listing]:
-        return [self.listings[participant_id] for participant_id in sorted(self.listings)]
 
 
 # -- bank ledger --------------------------------------------------------------
@@ -348,7 +312,7 @@ class BrokerRequestView:
 
 @dataclass(frozen=True)
 class MarketView:
-    listings: list[Listing]
+    cheapest_price: Money  # lowest posted price per cpu-tick
     last_clearing_price: Money | None
     procurable_quantity: int
     available_funds: Money
@@ -427,18 +391,17 @@ def broker_decide(
 
     Estimated utility per request is willingness minus estimated
     procurement cost (last clearing price, falling back to the cheapest
-    directory hint).  The chosen subset maximizes summed utility within
-    procurable capacity; each pick becomes an auction bid when some
-    posted hint is inside its price ceiling, and a negotiation
+    posted price).  The chosen subset maximizes summed utility within
+    procurable capacity; each pick becomes an auction bid when the
+    cheapest posted price is inside its price ceiling, and a negotiation
     otherwise.
     """
-    if not market.listings or not requests:
+    if not requests:
         return []
-    cheapest = min(market.listings, key=lambda l: (l.price_hint, l.participant_id))
     unit_estimate = (
         market.last_clearing_price
         if market.last_clearing_price is not None
-        else cheapest.price_hint
+        else market.cheapest_price
     )
     candidates: list[tuple[Money, BrokerRequestView]] = []
     for view in requests:
@@ -456,7 +419,7 @@ def broker_decide(
         limit = spendable // view.quantity
         if limit <= 0:
             continue
-        if any(l.price_hint <= limit for l in market.listings):
+        if market.cheapest_price <= limit:
             actions.append(BrokerAction("bid", view.request_id, view.quantity, limit))
             funds_left -= limit * view.quantity
         else:

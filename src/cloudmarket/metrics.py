@@ -5,7 +5,8 @@ incremental aggregates and per-request records; the raw events live in
 the run's one event log (engine.TraceRecorder).  After a run the
 aggregates are recomputed from that log and reconciled against the
 money ledger; any disagreement raises instead of reporting silently
-wrong numbers.  A summary's trace and scenario digests are computed
+wrong numbers.  What each account was funded with is read from the
+journal's debits to the world account.  A summary's trace and scenario digests are computed
 on first read, so a run whose digests nobody reads hashes nothing.
 """
 
@@ -260,7 +261,6 @@ class MetricsCollector:
         events_fired: int,
         trace_digest: Callable[[], str],
         ledger: Ledger,
-        initial_funds: dict[str, Money],
         provider_ids: list[str],
         broker_ids: list[str],
         consumer_ids: list[str],
@@ -273,12 +273,13 @@ class MetricsCollector:
         mean_turnaround = (
             float(Fraction(sum(turnarounds), len(turnarounds))) if turnarounds else None
         )
+        funded = _funding(ledger)
         consumer_spend = sum(
-            initial_funds.get(c, 0) - ledger.balance(c) for c in consumer_ids
+            funded.get(c, 0) - ledger.balance(c) for c in consumer_ids
         )
         provider_revenue = {p: ledger.balance(p) for p in provider_ids}
         broker_net = {
-            b: ledger.balance(b) - initial_funds.get(b, 0) for b in broker_ids
+            b: ledger.balance(b) - funded.get(b, 0) for b in broker_ids
         }
         budget_violations = sum(
             1 for r in served_recs if r.consumer_paid > r.budget
@@ -320,7 +321,7 @@ class MetricsCollector:
         )
 
     def cross_check(self, events: list[Event], summary: RunSummary, ledger: Ledger,
-                    initial_funds: dict[str, Money], consumer_ids: list[str]) -> None:
+                    consumer_ids: list[str]) -> None:
         """Recompute every aggregate from the event log and the journal.
 
         The incremental tallies, the event log, and the double-entry
@@ -376,9 +377,8 @@ class MetricsCollector:
             raise CrossCheckFailure("journal replay disagrees with live balances")
         if sum(ledger.balances.values()) != 0:
             raise CrossCheckFailure("ledger balances do not sum to zero")
-        spend = sum(
-            initial_funds.get(c, 0) - ledger.balance(c) for c in consumer_ids
-        )
+        funded = _funding(ledger)
+        spend = sum(funded.get(c, 0) - ledger.balance(c) for c in consumer_ids)
         if spend != summary.consumer_spend:
             raise CrossCheckFailure(
                 f"consumer spend: ledger says {spend}, summary {summary.consumer_spend}"
@@ -414,6 +414,15 @@ class MetricsCollector:
                 "penalty_received": r.penalty_received,
             })
         return rows
+
+
+def _funding(ledger: Ledger) -> dict[str, Money]:
+    """What the world account paid into each account, from the journal."""
+    funded: dict[str, Money] = {}
+    for entry in ledger.journal:
+        if entry.debit == WORLD:
+            funded[entry.credit] = funded.get(entry.credit, 0) + entry.amount
+    return funded
 
 
 REQUEST_CSV_FIELDS = [

@@ -24,8 +24,6 @@ from .exchange import (
     BrokerAction,
     BrokerRequestView,
     Ledger,
-    Listing,
-    MarketDirectory,
     MarketView,
     OrderBook,
     ReservationBook,
@@ -44,14 +42,12 @@ from .negotiation import (
     negotiate_price,
 )
 from .workload import (
-    ConsumerProxy,
     MODE_MARKET,
     MODE_SYSTEM_CENTRIC,
     ProviderSpec,
     Scenario,
     dump_scenario,
     generate_requests,
-    proxy_select_brokers,
 )
 
 UNSERVED_DEADLINE_EXPIRED = "DeadlineExpired"
@@ -132,7 +128,6 @@ class _Run:
         self.engine.add_observer(self.trace)
         self.engine.add_observer(self.collector.observer)
         self.ledger = Ledger()
-        self.funded: dict[str, Money] = {}
 
         self.providers: dict[str, _Provider] = {}
         for p in scenario.providers:
@@ -148,23 +143,22 @@ class _Run:
             allocator = SlaAllocator(self.engine, dc, p.pricing)
             self.providers[p.provider_id] = _Provider(p, dc, allocator)
             self.ledger.open_account(p.provider_id)
-            self.funded[p.provider_id] = 0
 
-        self.proxies = {
-            c.consumer_id: ConsumerProxy(c.consumer_id) for c in scenario.consumers
-        }
-        # each consumer's top-k brokers by advertised margin, cheapest first
-        hints = [
-            (b.broker_id, round_half_up(b.margin_rate * 10**6))
-            for b in scenario.brokers
-        ]
-        self.broker_shortlist = {
-            c.consumer_id: proxy_select_brokers(hints, c.top_k) for c in scenario.consumers
-        }
+        # each consumer's top-k brokers by advertised margin, cheapest first,
+        # ties by id
+        ranked = [b.broker_id for b in sorted(
+            scenario.brokers,
+            key=lambda b: (round_half_up(b.margin_rate * 10**6), b.broker_id),
+        )]
+        self.broker_shortlist = {c.consumer_id: ranked[:c.top_k] for c in scenario.consumers}
+        # the summed budgets of each consumer's requests still in flight;
+        # its account is topped up to cover them
+        self.in_flight_budget: dict[str, Money] = {}
         for c in scenario.consumers:
-            self._fund(c.consumer_id, c.initial_funds, 0, "initial funding")
+            self.ledger.fund(c.consumer_id, c.initial_funds, 0)
+            self.in_flight_budget[c.consumer_id] = 0
         for b in scenario.brokers:
-            self._fund(b.broker_id, b.initial_funds, 0, "initial funding")
+            self.ledger.fund(b.broker_id, b.initial_funds, 0)
         self.broker_specs = {b.broker_id: b for b in scenario.brokers}
         self.broker_committed: dict[str, Money] = {
             b.broker_id: 0 for b in scenario.brokers
@@ -177,29 +171,28 @@ class _Run:
         self.delivered_cu: dict[str, int] = {p: 0 for p in self.providers}
         self._sla_counter = 0
 
-        self.directory = MarketDirectory()
         self.book = OrderBook()
         self.reservations = ReservationBook()
         self.demand_index = Fraction(1)
         self.last_clearing_price: Money | None = None
-        # the directory's listings are the one record of posted prices
-        for provider_id, prov in self.providers.items():
-            self.directory.register(Listing(
-                participant_id=provider_id,
-                price_hint=provider_set_price(prov.spec.market, Fraction(0), Fraction(1)),
-            ))
+        # provider_id -> its posted price per cpu-tick, reposted each cycle
+        self.posted_price: dict[str, Money] = {
+            provider_id: provider_set_price(prov.spec.market, Fraction(0), Fraction(1))
+            for provider_id, prov in self.providers.items()
+        }
 
     # -- money helpers -----------------------------------------------------------
 
-    def _fund(self, account: str, amount: Money, at: int, memo: str) -> None:
-        self.ledger.fund(account, amount, at, memo)
-        self.funded[account] = self.funded.get(account, 0) + amount
-
-    def _top_up_consumer(self, consumer_id: str, at: int) -> None:
-        proxy = self.proxies[consumer_id]
-        shortfall = proxy.committed - self.ledger.balance(consumer_id)
+    def _commit_budget(self, request: ServiceRequest, at: int) -> None:
+        """Count the request's budget as in flight and fund what the account lacks."""
+        consumer_id = request.consumer_id
+        self.in_flight_budget[consumer_id] += request.qos.budget
+        shortfall = self.in_flight_budget[consumer_id] - self.ledger.balance(consumer_id)
         if shortfall > 0:
-            self._fund(consumer_id, shortfall, at, "budget top-up")
+            self.ledger.fund(consumer_id, shortfall, at, "budget top-up")
+
+    def _resolve_budget(self, request: ServiceRequest) -> None:
+        self.in_flight_budget[request.consumer_id] -= request.qos.budget
 
     def _next_sla_id(self, suffix: str) -> str:
         self._sla_counter += 1
@@ -261,7 +254,7 @@ class _Run:
                 self.broker_committed[commit.broker_id] -= commit.sla_procure.price
 
         prov.datacenter.release_vm(p["vm_id"], now)
-        self.proxies[request.consumer_id].resolve(request_id)
+        self._resolve_budget(request)
 
         lateness = max(0, now - request.qos.deadline)
         self.engine.emit("request_served", {
@@ -288,8 +281,7 @@ class _Run:
         )
 
     def mark_unserved(self, request_id: str, reason: str) -> None:
-        request = self.requests_by_id[request_id]
-        self.proxies[request.consumer_id].resolve(request_id)
+        self._resolve_budget(self.requests_by_id[request_id])
         self.engine.emit("request_unserved", {
             "request_id": request_id, "reason": reason,
         })
@@ -328,14 +320,13 @@ class _Run:
             events_fired=len(self.trace.events),
             trace_digest=self.trace.digest,
             ledger=self.ledger,
-            initial_funds=self.funded,
             provider_ids=sorted(self.providers),
             broker_ids=sorted(self.broker_specs),
-            consumer_ids=sorted(self.proxies),
+            consumer_ids=sorted(self.in_flight_budget),
             utilization=utilization,
         )
         self.collector.cross_check(
-            self.trace.events, summary, self.ledger, self.funded, sorted(self.proxies),
+            self.trace.events, summary, self.ledger, sorted(self.in_flight_budget),
         )
         return summary
 
@@ -355,9 +346,7 @@ class _BaselineRun(_Run):
         p = event.payload
         request = self.requests_by_id[p["request_id"]]
         now = self.engine.clock
-        proxy = self.proxies[request.consumer_id]
-        proxy.commit(request.request_id, request.qos.budget)
-        self._top_up_consumer(request.consumer_id, now)
+        self._commit_budget(request, now)
 
         first_reason: str | None = None
         for provider_id in sorted(self.providers):
@@ -365,9 +354,7 @@ class _BaselineRun(_Run):
             for cal in prov.datacenter.calendars.values():
                 cal.prune(now)
             decision = prov.allocator.examine(
-                request, now,
-                enforce_deadline=False,
-                horizon=self.scenario.horizon * 4,
+                request, now, search_until=self.scenario.horizon * 4,
             )
             if isinstance(decision, Accept):
                 plan = decision.plan
@@ -410,10 +397,7 @@ class _MarketRun(_Run):
     def on_request_submitted(self, event) -> None:
         p = event.payload
         request = self.requests_by_id[p["request_id"]]
-        now = self.engine.clock
-        proxy = self.proxies[request.consumer_id]
-        proxy.commit(request.request_id, request.qos.budget)
-        self._top_up_consumer(request.consumer_id, now)
+        self._commit_budget(request, self.engine.clock)
         broker_id = self.assign_broker(request)
         # what the broker bids on is fixed for the request's life
         self.pending[request.request_id] = (broker_id, BrokerRequestView(
@@ -470,7 +454,7 @@ class _MarketRun(_Run):
                 prov.datacenter.utilization_at(now),
                 self.demand_index,
             )
-            self.directory.update_price_hint(provider_id, price)
+            self.posted_price[provider_id] = price
             self.engine.emit("posted_price", {
                 "provider": provider_id, "price": price,
                 "demand_index": str(self.demand_index),
@@ -497,11 +481,11 @@ class _MarketRun(_Run):
         for request_id in sorted(self.pending):
             broker_id, view = self.pending[request_id]
             by_broker.setdefault(broker_id, []).append(view)
-        listings = self.directory.query()
+        cheapest_price = min(self.posted_price.values())
         chosen: dict[str, BrokerAction] = {}
         for broker_id in sorted(by_broker):
             view = MarketView(
-                listings=listings,
+                cheapest_price=cheapest_price,
                 last_clearing_price=self.last_clearing_price,
                 procurable_quantity=ask_capacity,
                 available_funds=(
@@ -665,13 +649,10 @@ class _MarketRun(_Run):
             )
             if spendable <= 0:
                 continue
-            listings = self.directory.listings
-            provider_id = min(
-                self.providers,
-                key=lambda pid: (listings[pid].price_hint, pid),
-            )
+            posted = self.posted_price
+            provider_id = min(posted, key=lambda pid: (posted[pid], pid))
             prov = self.providers[provider_id]
-            posted_price = listings[provider_id].price_hint
+            posted_price = posted[provider_id]
             needed = self._needed_quantity(request, prov.spec.boot_delay)
             neg = self.scenario.negotiation
             buyer = NegotiationTerms(

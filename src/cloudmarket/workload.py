@@ -1,4 +1,4 @@
-"""Scenario files, request generation, and the consumer-side proxy.
+"""Scenario files and request generation.
 
 Scenarios are YAML with strict validation: unknown fields are rejected
 by name, and loading then re-dumping a file yields an identical
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate, count
 from math import ceil, log
@@ -219,6 +219,11 @@ def _validate_dist(
     _check_keys(mapping, path, required | {"kind"}, optional)
     if kind == "constant":
         value = _as_rational(mapping["value"], f"{path}.value")
+        # an integer field (one that may draw uniform_int) takes a whole constant
+        if "uniform_int" in kinds and value.denominator != 1:
+            raise ValidationError(
+                f"expected an integer, got {mapping['value']!r}", f"{path}.value",
+            )
         return Constant(_at_least(value, minimum, f"{path}.value"))
     if kind == "poisson":
         rate = _as_rational(mapping["rate"], f"{path}.rate")
@@ -765,7 +770,8 @@ def generate_requests(scenario: Scenario, master_seed: int) -> list[ServiceReque
         if w.count is not None and index >= w.count:
             break
         index += 1
-        # validation keeps volume, cpu_need and slack draws at 1 or more
+        # validation keeps volume, cpu_need and mem_need draws whole, and
+        # volume, cpu_need and slack draws at 1 or more
         volume = int(draw_volume())
         cpu_need = int(draw_cpu())
         mem_need = int(draw_mem())
@@ -792,30 +798,3 @@ def generate_requests(scenario: Scenario, master_seed: int) -> list[ServiceReque
         ))
     return requests
 
-
-def proxy_select_brokers(hints: list[tuple[str, Money]], k: int) -> list[str]:
-    """Pick the k cheapest brokers by advertised price, ties by id."""
-    ranked = sorted(hints, key=lambda pair: (pair[1], pair[0]))
-    return [broker_id for broker_id, _ in ranked[:k]]
-
-
-@dataclass
-class ConsumerProxy:
-    """Consumer-side agent: the budgets its in-flight requests committed.
-
-    The consumer's account is topped up to cover what is committed, so
-    every accepted request can be paid for.
-    """
-
-    consumer_id: str
-    outstanding: dict[str, Money] = field(default_factory=dict)
-
-    @property
-    def committed(self) -> Money:
-        return sum(self.outstanding.values())
-
-    def commit(self, request_id: str, amount: Money) -> None:
-        self.outstanding[request_id] = self.outstanding.get(request_id, 0) + amount
-
-    def resolve(self, request_id: str) -> None:
-        self.outstanding.pop(request_id, None)

@@ -179,7 +179,10 @@ def test_relaxed_deadline_mode_queues_late_work():
     a = request("req000001", 0, volume=120, cpu=4, deadline=30, budget=10_000)
     b = request("req000002", 0, volume=120, cpu=4, deadline=30, budget=10_000)
     assert alloc.examine(a, at=0).plan.completion == 30
-    relaxed = alloc.examine(b, at=0, enforce_deadline=False, horizon=400)
+    # the queue behind a ends at 60: a search that stops short finds no slot
+    short = alloc.examine(b, at=0, search_until=59)
+    assert isinstance(short, Reject) and short.reason == REJECT_CAPACITY
+    relaxed = alloc.examine(b, at=0, search_until=400)
     assert isinstance(relaxed, Accept)
     assert relaxed.plan.completion == 60  # late, penalties handle it
 

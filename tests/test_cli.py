@@ -58,7 +58,9 @@ def test_invalid_field_exits_three_and_names_it(tmp_path, capsys):
     ("workload", "cpu_need", {"kind": "choice", "values": [1, 2, 4], "weights": [0, 0, 0]},
      "workload.cpu_need.weights"),
     ("workload", "mem_need", {"kind": "constant", "value": -5}, "workload.mem_need.value"),
-], ids=["no-brokers", "zero-weights", "negative-mem"])
+    # generation would floor a volume of 5/2 to 2
+    ("workload", "volume", {"kind": "constant", "value": "5/2"}, "workload.volume.value"),
+], ids=["no-brokers", "zero-weights", "negative-mem", "fractional-volume"])
 def test_unrunnable_scenario_exits_three_before_any_run(
     tmp_path, capsys, mode, section, key, value, path,
 ):

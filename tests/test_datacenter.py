@@ -21,7 +21,7 @@ from cloudmarket.engine import SimEngine, TraceRecorder
 
 def hosted_usage(dc, machine_id):
     """(cpu, mem) held by the VMs a machine hosts."""
-    vms = [dc.vms[v] for v in dc.machines[machine_id].hosted]
+    vms = [dc.vms[v] for v in dc.hosted[machine_id]]
     return sum(vm.cpu_entitlement for vm in vms), sum(vm.mem_entitlement for vm in vms)
 
 
@@ -38,7 +38,7 @@ def test_fresh_datacenter_is_idle():
     assert dc.total_cpu_capacity == 12
     assert dc.committed_cpu_at(0) == 0
     assert not dc.vms
-    assert not dc.machines["m1"].hosted
+    assert not dc.hosted["m1"]
     # the whole machine is free: a full-size VM fits, one cu more does not
     with pytest.raises(InsufficientCapacity):
         dc.provision_vm(5, 16, at=0, machine_id="m1")
@@ -49,7 +49,7 @@ def test_single_machine_placement():
     _, _, dc = make_dc([("m1", 4, 16)])
     vm_id = dc.provision_vm(1, 4, at=0, machine_id="m1")
     assert dc.vms[vm_id].host == "m1"
-    assert dc.machines["m1"].hosted == {vm_id}
+    assert dc.hosted["m1"] == {vm_id}
     assert hosted_usage(dc, "m1") == (1, 4)
     # 3 cu are left
     with pytest.raises(InsufficientCapacity):
@@ -69,7 +69,7 @@ def test_release_returns_all_capacity():
     vm_id = dc.provision_vm(4, 16, at=0, machine_id="m1")
     freed = dc.release_vm(vm_id, at=5)
     assert freed == (4, 16)
-    assert not dc.machines["m1"].hosted
+    assert not dc.hosted["m1"]
     assert hosted_usage(dc, "m1") == (0, 0)
     dc.provision_vm(4, 16, at=5, machine_id="m1")
 
@@ -80,7 +80,7 @@ def test_release_then_equal_provision_same_tick():
     dc.release_vm(first, at=3)
     second = dc.provision_vm(4, 16, at=3, machine_id="m1")
     assert second != first
-    assert dc.machines["m1"].hosted == {second}
+    assert dc.hosted["m1"] == {second}
     assert hosted_usage(dc, "m1") == (4, 16)
     with pytest.raises(InsufficientCapacity):
         dc.provision_vm(1, 1, at=3, machine_id="m1")
@@ -139,7 +139,7 @@ def test_snapshot_matches_independent_trace_replay():
             cpu, mem = rng.randint(1, 3), rng.randint(1, 8)
             machine_id = rng.choice(["m1", "m2"])
             used_cpu, used_mem = replay_usage(recorder.events, machine_id)
-            m = dc.machines[machine_id]
+            m = dc.calendars[machine_id]
             overflows = used_cpu + cpu > m.cpu_capacity or used_mem + mem > m.mem_capacity
             refused += overflows
             try:
@@ -155,7 +155,7 @@ def test_snapshot_matches_independent_trace_replay():
     now = engine.clock
     assert refused > 0
 
-    hosted = {machine_id: set() for machine_id in dc.machines}
+    hosted = {machine_id: set() for machine_id in dc.calendars}
     vms = {}
     for ev in recorder.events:
         p = ev.payload
@@ -171,7 +171,7 @@ def test_snapshot_matches_independent_trace_replay():
             vms[p["vm_id"]]["state"] = "Stopped"
 
     for machine_id, reduced in hosted.items():
-        assert dc.machines[machine_id].hosted == reduced
+        assert dc.hosted[machine_id] == reduced
         assert hosted_usage(dc, machine_id) == replay_usage(recorder.events, machine_id)
 
     def state(vm):
@@ -309,7 +309,7 @@ def test_free_cu_ticks_counts_idle_capacity():
 def _per_segment_free_cu_ticks(dc, start, end):
     # the earlier implementation: one usage_at query per boundary segment
     free = 0
-    for machine_id in sorted(dc.machines):
+    for machine_id in sorted(dc.calendars):
         cal = dc.calendars[machine_id]
         boundaries = {start, end}
         for b in cal.blocks:

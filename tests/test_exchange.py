@@ -1,4 +1,4 @@
-"""Directory, ledger, call auction, broker policy, reservations, settlement."""
+"""Ledger, call auction, broker policy, reservations, settlement."""
 
 import random
 from fractions import Fraction
@@ -17,8 +17,6 @@ from cloudmarket.exchange import (
     InvalidOrder,
     InvalidPolicy,
     Ledger,
-    Listing,
-    MarketDirectory,
     MarketView,
     OrderBook,
     ReservationBook,
@@ -30,24 +28,6 @@ from cloudmarket.exchange import (
     settle_sla,
 )
 from cloudmarket.negotiation import PenaltySchedule, Sla
-
-
-# -- directory -----------------------------------------------------------------------
-
-
-def test_single_listing_round_trip():
-    directory = MarketDirectory()
-    directory.register(Listing("alpine", 40))
-    hits = directory.query()
-    assert [l.participant_id for l in hits] == ["alpine"]
-
-
-def test_reregistration_replaces_the_listing():
-    directory = MarketDirectory()
-    directory.register(Listing("alpine", 40))
-    directory.register(Listing("alpine", 55))
-    hits = directory.query()
-    assert len(hits) == 1 and hits[0].price_hint == 55
 
 
 # -- ledger --------------------------------------------------------------------------
@@ -309,17 +289,13 @@ def test_utilization_outside_unit_interval_is_invalid():
 # -- broker policy ---------------------------------------------------------------------
 
 
-def market_view(listings, last=None, capacity=100, funds=10**9):
-    return MarketView(listings, last, capacity, funds)
-
-
-def provider_listing(name="alpine", hint=7):
-    return Listing(name, hint)
+def market_view(cheapest_price, last=None, capacity=100, funds=10**9):
+    return MarketView(cheapest_price, last, capacity, funds)
 
 
 def test_profitable_request_is_engaged():
     view = BrokerRequestView("req000001", willingness=10_000, quantity=1)
-    actions = broker_decide([view], market_view([provider_listing(hint=7_000)]))
+    actions = broker_decide([view], market_view(7_000))
     assert len(actions) == 1
     assert actions[0].request_id == "req000001"
 
@@ -331,20 +307,20 @@ def test_capacity_forces_the_higher_utility_pick():
     # unit estimate 500 -> utilities 3_000 and 5_000
     actions = broker_decide(
         [cheap, rich],
-        market_view([provider_listing(hint=500)], capacity=10),
+        market_view(500, capacity=10),
     )
     assert [a.request_id for a in actions] == ["req000002"]
 
 
 def test_unprofitable_requests_are_ignored():
     view = BrokerRequestView("req000001", willingness=100, quantity=1)
-    actions = broker_decide([view], market_view([provider_listing(hint=7_000)]))
+    actions = broker_decide([view], market_view(7_000))
     assert actions == []
 
 
 def test_posted_hint_inside_limit_means_bid():
     view = BrokerRequestView("req000001", willingness=10_000, quantity=10)
-    actions = broker_decide([view], market_view([provider_listing(hint=100)]))
+    actions = broker_decide([view], market_view(100))
     assert actions[0].kind == "bid"
     assert actions[0].limit_unit_price == 1_000
 
@@ -353,17 +329,17 @@ def test_no_affordable_hint_means_negotiate():
     view = BrokerRequestView(
         "req000001", willingness=10_000, quantity=10, margin=9_500,
     )
-    listings = [provider_listing("alpine", hint=90), provider_listing("birch", hint=80)]
-    actions = broker_decide([view], market_view(listings))
+    # the cheapest posted price, 80, is above the limit of 50
+    actions = broker_decide([view], market_view(80))
     assert actions[0].kind == "negotiate"
     assert actions[0].limit_unit_price == 50
 
 
 def test_last_clearing_price_overrides_hints_for_estimation():
     view = BrokerRequestView("req000001", willingness=5_000, quantity=10)
-    # hint says cheap, but the last clearing says the market costs 600/unit
+    # the posted price says cheap, but the last clearing says the market costs 600/unit
     actions = broker_decide(
-        [view], market_view([provider_listing(hint=10)], last=600),
+        [view], market_view(10, last=600),
     )
     assert actions == []  # 5_000 - 600*10 < 0
 
@@ -371,7 +347,7 @@ def test_last_clearing_price_overrides_hints_for_estimation():
 def test_funds_cap_the_bid_limit():
     view = BrokerRequestView("req000001", willingness=10_000, quantity=10)
     actions = broker_decide(
-        [view], market_view([provider_listing(hint=100)], funds=4_000),
+        [view], market_view(100, funds=4_000),
     )
     assert actions[0].limit_unit_price == 400
 
@@ -392,7 +368,7 @@ def test_broker_subset_matches_exhaustive_search():
         capacity = rng.randint(1, 12)
         actions = broker_decide(
             views,
-            market_view([provider_listing(hint=unit)], capacity=capacity),
+            market_view(unit, capacity=capacity),
         )
         utility = {
             v.request_id: v.willingness - unit * v.quantity
@@ -550,14 +526,14 @@ def test_random_reservations_never_oversubscribe():
             cpu = rng.randint(1, cpu_cap)
             slot = book.find_slot(dc, start, start, end - start, cpu, 1)
             # a pinned reservation on a machine that is full must conflict
-            machine_id = slot[0] if slot is not None else rng.choice(sorted(dc.machines))
+            machine_id = slot[0] if slot is not None else rng.choice(sorted(dc.calendars))
             try:
                 book.reserve(dc, start, end, cpu, 1, machine_id=machine_id)
             except CapacityViolation:
                 assert slot is None, (case, i)
             else:
                 granted.append((machine_id, start, end, cpu))
-        for machine_id in dc.machines:
+        for machine_id in dc.calendars:
             for t in range(0, 55):
                 load = sum(
                     c for m, s, e, c in granted

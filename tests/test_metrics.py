@@ -25,8 +25,8 @@ def feed(collector, events, at, kind, payload):
     collector.observer(event)
 
 
-def summarize(collector, events, ledger, *, initial_funds, providers, brokers,
-              consumers, utilization=None):
+def summarize(collector, events, ledger, *, providers, brokers, consumers,
+              utilization=None):
     return collector.summary(
         scenario="synthetic",
         scenario_digest=lambda: "0" * 16,
@@ -36,7 +36,6 @@ def summarize(collector, events, ledger, *, initial_funds, providers, brokers,
         events_fired=len(events),
         trace_digest=lambda: "f" * 16,
         ledger=ledger,
-        initial_funds=initial_funds,
         provider_ids=providers,
         broker_ids=brokers,
         consumer_ids=consumers,
@@ -82,7 +81,6 @@ def small_summary():
     collector, events, ledger = small_run()
     summary = summarize(
         collector, events, ledger,
-        initial_funds={"acme": 5_000},
         providers=["alpine"], brokers=[], consumers=["acme"],
         utilization={"alpine": 0.25},
     )
@@ -93,7 +91,7 @@ def test_empty_collector_summarizes_to_zeroes():
     collector = MetricsCollector()
     ledger = Ledger()
     ledger.fund("acme", 1_000, at=0)
-    summary = summarize(collector, [], ledger, initial_funds={"acme": 1_000},
+    summary = summarize(collector, [], ledger,
                         providers=[], brokers=[], consumers=["acme"])
     assert summary.submitted == 0
     assert summary.accepted == 0
@@ -103,7 +101,7 @@ def test_empty_collector_summarizes_to_zeroes():
     assert summary.consumer_spend == 0
     assert summary.mean_turnaround is None
     assert summary.mean_price is None
-    collector.cross_check([], summary, ledger, {"acme": 1_000}, ["acme"])
+    collector.cross_check([], summary, ledger, ["acme"])
 
 
 def test_single_lifecycle_counts():
@@ -119,16 +117,31 @@ def test_single_lifecycle_counts():
     assert summary.mean_price == 600.0
 
 
+def test_funding_is_read_from_the_journal():
+    # every debit of the world account is funding, top-ups included, so
+    # spend and broker net count only what moved between participants
+    collector, events, ledger = small_run()
+    ledger.fund("acme", 400, at=18, memo="budget top-up")
+    ledger.fund("broker-a", 2_000, at=0)
+    ledger.transfer("broker-a", "alpine", 150, at=18, memo="trade 1")
+    summary = summarize(collector, events, ledger, providers=["alpine"],
+                        brokers=["broker-a"], consumers=["acme"])
+    assert summary.consumer_spend == 600
+    assert summary.broker_net == {"broker-a": -150}
+    assert summary.provider_revenue == {"alpine": 750}
+    collector.cross_check(events, summary, ledger, ["acme"])
+
+
 def test_cross_check_accepts_consistent_run():
     collector, events, ledger, summary = small_summary()
-    collector.cross_check(events, summary, ledger, {"acme": 5_000}, ["acme"])
+    collector.cross_check(events, summary, ledger, ["acme"])
 
 
 def test_cross_check_catches_tampered_tally():
     collector, events, ledger, summary = small_summary()
     summary = dataclasses.replace(summary, submitted=summary.submitted + 1)
     with pytest.raises(CrossCheckFailure, match="submitted"):
-        collector.cross_check(events, summary, ledger, {"acme": 5_000}, ["acme"])
+        collector.cross_check(events, summary, ledger, ["acme"])
 
 
 def test_cross_check_catches_tampered_journal():
@@ -137,7 +150,7 @@ def test_cross_check_catches_tampered_journal():
     doctored = dataclasses.replace(ledger.journal[-1], amount=599)
     ledger.journal[-1] = doctored
     with pytest.raises(CrossCheckFailure, match="replay"):
-        collector.cross_check(events, summary, ledger, {"acme": 5_000}, ["acme"])
+        collector.cross_check(events, summary, ledger, ["acme"])
 
 
 def test_cross_check_catches_mispriced_served_event():
@@ -147,7 +160,7 @@ def test_cross_check_catches_mispriced_served_event():
             payload = dict(ev.payload, consumer_paid=601)
             events[i] = dataclasses.replace(ev, payload=payload)
     with pytest.raises(CrossCheckFailure, match="spend"):
-        collector.cross_check(events, summary, ledger, {"acme": 5_000}, ["acme"])
+        collector.cross_check(events, summary, ledger, ["acme"])
 
 
 def test_events_must_arrive_in_time_order():
@@ -198,14 +211,14 @@ def test_lateness_aggregation_and_mean_price():
         "consumer_paid": 860, "penalty_received": 40,
     })
     ledger.transfer("acme", "alpine", 600 + 860, at=25, memo="invoices")
-    summary = summarize(collector, events, ledger, initial_funds={"acme": 10_000},
+    summary = summarize(collector, events, ledger,
                         providers=["alpine"], brokers=[], consumers=["acme"])
     assert summary.late == 1 and summary.on_time == 1
     assert summary.total_lateness == 3
     assert summary.deadline_violations_served == 1
     assert summary.mean_turnaround == 17.5
     assert summary.mean_price == 750.0
-    collector.cross_check(events, summary, ledger, {"acme": 10_000}, ["acme"])
+    collector.cross_check(events, summary, ledger, ["acme"])
 
 
 def random_stream(rng):
@@ -275,7 +288,6 @@ def test_aggregates_match_offline_recomputation():
         collector, ledger, log = random_stream(rng)
         events = [(ev.fire_at, ev.kind, ev.payload) for ev in log]
         summary = summarize(collector, log, ledger,
-                            initial_funds={"acme": 10_000_000},
                             providers=["alpine"], brokers=[], consumers=["acme"])
         assert summary.submitted == sum(
             1 for _, k, _ in events if k == "request_submitted")
@@ -304,7 +316,7 @@ def test_aggregates_match_offline_recomputation():
         prices = [p["price"] for _, k, p in events if k == "admission" and p["accepted"]]
         assert summary.mean_price == (
             float(Fraction(sum(prices), len(prices))) if prices else None)
-        collector.cross_check(log, summary, ledger, {"acme": 10_000_000}, ["acme"])
+        collector.cross_check(log, summary, ledger, ["acme"])
 
 
 def test_serialization_is_reproducible():

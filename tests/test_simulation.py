@@ -256,3 +256,108 @@ def test_every_provision_fires_once_within_capacity(name, seed, mode):
         assert machine[0] <= cpu_cap and machine[1] <= mem_cap, ev
     assert kinds["vm_provision"] > 0
     assert kinds["provision_due"] == kinds["vm_provision"]
+
+
+def _lean(scenario):
+    # consumers funded with 500 each, so most submissions need a top-up
+    return replace(scenario, consumers=tuple(
+        replace(c, initial_funds=500) for c in scenario.consumers
+    ))
+
+
+@pytest.mark.parametrize("mode", ["market", "system_centric"])
+@pytest.mark.parametrize("name, variant", [
+    ("smoke.yaml", None), ("smoke.yaml", _lean), ("two_class.yaml", None),
+], ids=["smoke", "smoke-lean", "two_class"])
+def test_budget_top_ups_cover_the_budgets_in_flight(name, variant, mode):
+    # oracle: replay submissions, resolutions and the journal in the order
+    # the run made them; a consumer's in-flight budgets are those of its
+    # submitted requests not yet served or unserved.  Each submission
+    # funds exactly the shortfall of the balance against them.
+    scenario = load(name) if variant is None else variant(load(name))
+    seed = 0
+    run_type = simulation._MarketRun if mode == "market" else simulation._BaselineRun
+    run = run_type(scenario, seed, mode)
+    journal = run.ledger.journal
+    log = []  # (what, request_id, journal length at that moment)
+
+    def on_fired(event):
+        if event.kind == "request_submitted":
+            log.append(("submitted", event.payload["request_id"], len(journal)))
+
+    emit = run.engine.emit
+
+    def logged_emit(kind, payload=None):
+        if kind in ("request_served", "request_unserved"):
+            log.append(("resolved", payload["request_id"], len(journal)))
+        return emit(kind, payload)
+
+    run.engine.add_observer(on_fired)
+    run.engine.emit = logged_emit
+    requests = generate_requests(scenario, seed)
+    run.start()
+    run.schedule_requests(requests)
+    run.finish()
+
+    by_id = {r.request_id: r for r in requests}
+    in_flight = Counter()
+    balance = Counter()
+    replayed = 0
+    expected_top_ups = []
+    for what, request_id, mark in log:
+        request = by_id[request_id]
+        consumer = request.consumer_id
+        if what == "resolved":
+            in_flight[consumer] -= request.qos.budget
+            continue
+        for entry in journal[replayed:mark]:
+            balance[entry.debit] -= entry.amount
+            balance[entry.credit] += entry.amount
+        replayed = mark
+        in_flight[consumer] += request.qos.budget
+        shortfall = in_flight[consumer] - balance[consumer]
+        if shortfall > 0:
+            entry = journal[mark]
+            assert (entry.debit, entry.credit, entry.amount, entry.memo) == (
+                WORLD, consumer, shortfall, "budget top-up"), request_id
+            balance[consumer] += shortfall
+            replayed = mark + 1
+            expected_top_ups.append(mark)
+        assert balance[consumer] >= in_flight[consumer], request_id
+    top_ups = [i for i, e in enumerate(journal) if e.memo == "budget top-up"]
+    assert top_ups == expected_top_ups
+    assert sum(1 for what, *_ in log if what == "submitted") == len(requests)
+    assert set(in_flight.values()) == {0}
+    if name == "two_class.yaml" or variant is not None:
+        assert top_ups
+
+
+def test_served_requests_go_to_the_shortlisted_brokers():
+    # each consumer shortlists its top_k brokers by margin rate, cheapest
+    # first and ties by id, and spreads requests round-robin over them by
+    # request number
+    scenario = load("smoke.yaml")
+    brokers = (
+        ("broker-d", "1/10"), ("broker-c", "1/20"), ("broker-a", "1/12"),
+        ("broker-b", "1/20"),
+    )
+    scenario = replace(
+        scenario,
+        brokers=tuple(
+            replace(scenario.brokers[0], broker_id=broker_id, margin_rate=Fraction(margin))
+            for broker_id, margin in brokers
+        ),
+        consumers=(
+            replace(scenario.consumers[0], top_k=2),
+            replace(scenario.consumers[1], top_k=9),
+        ),
+    )
+    ranked = ["broker-b", "broker-c", "broker-a", "broker-d"]
+    shortlist = {"acme": ranked[:2], "zenith": ranked}
+    result = run_scenario(scenario, seed=3, mode="market")
+    served = [ev.payload for ev in result.trace.events if ev.kind == "request_served"]
+    consumer_of = {r.request_id: r.consumer_id for r in result.requests}
+    for p in served:
+        chosen = shortlist[consumer_of[p["request_id"]]]
+        assert p["broker"] == chosen[int(p["request_id"][3:]) % len(chosen)], p
+    assert {p["broker"] for p in served} == set(ranked)

@@ -10,7 +10,7 @@ import yaml
 from cloudmarket.allocator import Fixed, PeakOffPeak, UtilizationLinear
 from cloudmarket.exchange import VariablePrice
 from cloudmarket.negotiation import ConcessionSchedule, PenaltySchedule
-from cloudmarket.simulation import request_trace_digest
+from cloudmarket.simulation import _Run, request_trace_digest
 from cloudmarket.workload import (
     Choice,
     Constant,
@@ -23,7 +23,6 @@ from cloudmarket.workload import (
     dump_scenario,
     generate_requests,
     load_scenario,
-    proxy_select_brokers,
     validate_scenario,
 )
 
@@ -311,6 +310,40 @@ def test_draws_of_exactly_one_are_kept():
         assert req.qos.deadline == req.submit_time + 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("volume", "5/2"),
+    ("cpu_need", "3/2"),
+    ("mem_need", "1/2"),
+])
+def test_fractional_constant_for_an_integer_field_is_refused(key, value):
+    # generation would floor the draw: volume 5/2 would run as 2
+    raw = minimal_raw()
+    raw["workload"][key] = {"kind": "constant", "value": value}
+    with pytest.raises(ValidationError) as exc:
+        validate_scenario(raw)
+    assert exc.value.field_path == f"workload.{key}.value"
+
+
+@pytest.mark.parametrize("value", [5, "5", "10/2"])
+def test_whole_constant_for_an_integer_field_is_kept(value):
+    raw = minimal_raw()
+    raw["workload"]["count"] = 3
+    raw["workload"]["volume"] = {"kind": "constant", "value": value}
+    scenario = validate_scenario(raw)
+    assert scenario.workload.volume == Constant(Fraction(5))
+    requests = generate_requests(scenario, master_seed=3)
+    assert [r.workload_volume for r in requests] == [5, 5, 5]
+
+
+def test_fractional_constant_stays_allowed_for_real_fields():
+    raw = minimal_raw()
+    raw["workload"]["deadline_slack"] = {"kind": "constant", "value": "5/2"}
+    raw["workload"]["budget_factor"] = {"kind": "constant", "value": "1/2"}
+    scenario = validate_scenario(raw)
+    assert scenario.workload.deadline_slack == Constant(Fraction(5, 2))
+    assert scenario.workload.budget_factor == Constant(Fraction(1, 2))
+
+
 def policy_variant():
     # smoke.yaml with every non-default policy kind: unsorted peak
     # windows, utilization pricing, a poly schedule, an uncapped penalty
@@ -511,18 +544,30 @@ def test_generation_is_pinned_for_kinds_no_shipped_scenario_draws(make_raw, coun
 
 
 # -- consumer-side broker choice -------------------------------------------------------
+#
+# A run shortlists each consumer's top_k brokers by margin rate, cheapest
+# first, ties by id.
+
+
+def broker_shortlist(margins, top_k):
+    raw = minimal_raw()
+    raw["brokers"] = [
+        {"broker_id": broker_id, "initial_funds": 1_000, "margin_rate": margin}
+        for broker_id, margin in margins
+    ]
+    raw["consumers"][0]["top_k"] = top_k
+    return _Run(validate_scenario(raw), 0, "market").broker_shortlist["acme"]
 
 
 def test_single_broker_is_chosen():
-    assert proxy_select_brokers([("broker-a", 9)], k=1) == ["broker-a"]
+    assert broker_shortlist([("broker-a", "9/100")], top_k=1) == ["broker-a"]
 
 
 def test_cheapest_two_of_three():
-    hints = [("broker-a", 9), ("broker-b", 7), ("broker-c", 8)]
-    assert proxy_select_brokers(hints, k=2) == ["broker-b", "broker-c"]
+    margins = [("broker-a", "9/100"), ("broker-b", "7/100"), ("broker-c", "8/100")]
+    assert broker_shortlist(margins, top_k=2) == ["broker-b", "broker-c"]
 
 
 def test_price_ties_break_by_id():
-    hints = [("broker-b", 7), ("broker-a", 7)]
-    assert proxy_select_brokers(hints, k=1) == ["broker-a"]
-
+    margins = [("broker-b", "7/100"), ("broker-a", "7/100")]
+    assert broker_shortlist(margins, top_k=1) == ["broker-a"]
