@@ -22,6 +22,7 @@ from .simulation import (
     BackedAdmissionRejected,
     RunResult,
     UnexpectedCompletion,
+    UnexpectedFill,
     compare_modes,
     run_scenario,
 )
@@ -43,7 +44,7 @@ OUT_DIR_ENV = "CLOUDMARKET_OUT"
 INVARIANT_ERRORS = (
     CapacityViolation, InsufficientCapacity, ConservationError,
     CrossCheckFailure, OutOfOrderEvent, BackedAdmissionRejected,
-    UnexpectedCompletion,
+    UnexpectedCompletion, UnexpectedFill,
 )
 
 
@@ -71,8 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"output directory (default ${OUT_DIR_ENV} or ./out)",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument(
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None, help="seed override")
+    seeds.add_argument(
         "--seeds", type=_parse_seed_range, default=None, metavar="A..B",
         help="inclusive seed sweep; one run per seed plus an aggregate table",
     )
@@ -112,6 +114,14 @@ def _write_artifacts(out: Path, args, result: RunResult) -> list[Path]:
     seed = result.seed
     paths = []
 
+    # one rendering pass writes the trace file and leaves the digest that
+    # the summary and the report line then read
+    if args.trace == "on":
+        trace_path = out / f"trace_seed{seed}.log"
+        with trace_path.open("wb") as sink:
+            result.trace.digest(sink)
+        paths.append(trace_path)
+
     summary_path = out / f"summary_seed{seed}.json"
     payload = {"config": _config_echo(args, seed)}
     payload.update(result.summary.to_dict())
@@ -133,11 +143,6 @@ def _write_artifacts(out: Path, args, result: RunResult) -> list[Path]:
         for e in result.ledger.journal:
             writer.writerow([e.seq, e.at, e.debit, e.credit, e.amount, e.memo])
     paths.append(journal_path)
-
-    if args.trace == "on":
-        trace_path = out / f"trace_seed{seed}.log"
-        trace_path.write_text(result.trace_text + "\n", encoding="utf-8")
-        paths.append(trace_path)
     return paths
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import BinaryIO, Callable, Iterator
 import heapq
 
 SimTime = int
@@ -130,30 +131,47 @@ class SimEngine:
         return len(self._queue)
 
 
+# trace lines joined, encoded and hashed at a time: enough to amortize
+# the per-chunk calls, few enough that no whole-trace string is held
+_CHUNK_LINES = 4096
+
+
 class TraceRecorder:
     """The run's one event log: every fired event, in firing order.
 
     The cross-check and the trace file read this list.  `lines()`
-    renders it as the trace file's lines; `text()` joins them on first
-    call and keeps the text until the log grows, and `digest()` is the
-    sha256 of that text.  A run that reads neither renders nothing.
+    renders it lazily as the trace file's lines.  `digest()` is the
+    sha256 of those lines joined by newlines, rendered, encoded and
+    hashed a chunk at a time; given a binary sink it also writes each
+    chunk there, plus the file's final newline, so one pass yields both
+    the file and its digest.  The digest is kept until the log grows.
+    A run that reads neither renders nothing.
     """
 
     def __init__(self) -> None:
         self.events: list[Event] = []
-        self._text: tuple[int, str] | None = None  # (events rendered, text)
+        self._digest: tuple[int, str] | None = None  # (events rendered, sha256)
 
     def __call__(self, event: Event) -> None:
         self.events.append(event)
 
-    def lines(self) -> list[str]:
-        return [trace_line(ev) for ev in self.events]
+    def lines(self) -> Iterator[str]:
+        return map(trace_line, self.events)
 
-    def text(self) -> str:
-        # the log only grows, so its length says whether the text is stale
-        if self._text is None or self._text[0] != len(self.events):
-            self._text = (len(self.events), "\n".join(self.lines()))
-        return self._text[1]
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.text().encode("utf-8")).hexdigest()
+    def digest(self, sink: BinaryIO | None = None) -> str:
+        # the log only grows, so its length says whether the digest is stale
+        if sink is None and self._digest is not None and self._digest[0] == len(self.events):
+            return self._digest[1]
+        sha = hashlib.sha256()
+        lines = self.lines()
+        separator = b""
+        while chunk := list(islice(lines, _CHUNK_LINES)):
+            data = separator + "\n".join(chunk).encode("utf-8")
+            separator = b"\n"
+            sha.update(data)
+            if sink is not None:
+                sink.write(data)
+        if sink is not None:
+            sink.write(b"\n")
+        self._digest = (len(self.events), sha.hexdigest())
+        return self._digest[1]

@@ -63,6 +63,10 @@ class UnexpectedCompletion(Exception):
     """A completion fired for a request that holds no open commitment."""
 
 
+class UnexpectedFill(Exception):
+    """The order book filled a bid for a request that is not pending."""
+
+
 def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(dump_scenario(scenario).encode("utf-8")).hexdigest()
 
@@ -104,11 +108,6 @@ class RunResult:
     ledger: Ledger
     trace: TraceRecorder
     requests: list[ServiceRequest]
-
-    @property
-    def trace_text(self) -> str:
-        """The trace file's body, rendered from trace.events on first read."""
-        return self.trace.text()
 
     @cached_property
     def request_digest(self) -> str:
@@ -154,10 +153,12 @@ class _Run:
         # the summed budgets of each consumer's requests still in flight;
         # its account is topped up to cover them
         self.in_flight_budget: dict[str, Money] = {}
-        for c in scenario.consumers:
+        # consumers are funded first, then brokers, each in id order, so the
+        # journal does not depend on the order the scenario lists them in
+        for c in sorted(scenario.consumers, key=lambda c: c.consumer_id):
             self.ledger.fund(c.consumer_id, c.initial_funds, 0)
             self.in_flight_budget[c.consumer_id] = 0
-        for b in scenario.brokers:
+        for b in sorted(scenario.brokers, key=lambda b: b.broker_id):
             self.ledger.fund(b.broker_id, b.initial_funds, 0)
         self.broker_specs = {b.broker_id: b for b in scenario.brokers}
         self.broker_committed: dict[str, Money] = {
@@ -292,8 +293,8 @@ class _Run:
         """Drain the run, then summarize and cross-check it from the one event log.
 
         The summary's trace and scenario digests are left to its first
-        read: the trace digest is the sha256 of `trace.text()`, the
-        same text the trace file holds.
+        read: the trace digest is `trace.digest()`, which the CLI
+        computes as it writes the trace file.
         """
         self.engine.run_until(self.scenario.horizon)
         self.engine.drain()
@@ -506,17 +507,18 @@ class _MarketRun(_Run):
     def _place_fills(self, now: int, result) -> None:
         fills: dict[str, dict[str, list]] = {}
         for trade in result.trades:
-            if trade.request_id is None:
-                continue
+            # every bid is for a pending request, and nothing leaves
+            # pending between the bids and their fills
+            if trade.request_id not in self.pending:
+                raise UnexpectedFill(
+                    f"trade {trade.trade_id} filled {trade.request_id} at t={now}, "
+                    f"which is not pending"
+                )
             fills.setdefault(trade.request_id, {}).setdefault(
                 trade.seller, []
             ).append(trade)
 
         for request_id in sorted(fills):
-            if request_id not in self.pending:
-                # stale fill for an already-resolved request; hand it back
-                self._refund_fills(now, request_id, fills[request_id], None)
-                continue
             request = self.requests_by_id[request_id]
             broker_id, view = self.pending[request_id]
             per_provider = {

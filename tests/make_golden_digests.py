@@ -32,7 +32,7 @@ def artifact_digests(result) -> dict[str, str]:
     journal = [[e.seq, e.at, e.debit, e.credit, e.amount, e.memo]
                for e in result.ledger.journal]
     return {
-        "trace": _sha(result.trace_text),
+        "trace": _sha("\n".join(result.trace.lines())),
         "journal": _sha(json.dumps(journal)),
         "requests": _sha(json.dumps(result.collector.request_rows())),
         "summary": _sha(result.summary.to_json()),

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from cloudmarket import simulation
 from cloudmarket.allocator import REJECT_CAPACITY, Reject, SlaAllocator
 from cloudmarket.cli import main
 from cloudmarket.engine import SimEngine, TraceRecorder
-from cloudmarket.exchange import ReservationBook
+from cloudmarket.exchange import OrderBook, ReservationBook
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMOKE = str(SCENARIOS / "smoke.yaml")
@@ -225,6 +226,23 @@ def test_duplicate_completion_exits_four_and_names_the_request(
     assert doubled and f"{doubled[0]} completed at t=" in err
 
 
+def test_fill_for_a_request_not_pending_exits_four_and_names_it(
+        tmp_path, monkeypatch, capsys):
+    real_clear = OrderBook.clear
+
+    def clear_with_a_stray_fill(self, at, ledger=None):
+        result = real_clear(self, at, ledger)
+        if result.trades:
+            result.trades[0] = replace(result.trades[0], request_id="req999999")
+        return result
+
+    monkeypatch.setattr(OrderBook, "clear", clear_with_a_stray_fill)
+    code = main(["--scenario", SMOKE, "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "filled req999999 at t=" in err and "not pending" in err
+
+
 def test_query_before_the_prune_point_exits_four_and_names_it(
         tmp_path, monkeypatch, capsys):
     real_find_slot = ReservationBook.find_slot
@@ -267,6 +285,23 @@ def test_trace_off_suppresses_the_log(tmp_path, capsys, renders):
     assert not (out / "trace_seed5.log").exists()
 
 
+def test_trace_file_and_both_digests_come_from_one_render(tmp_path, capsys, renders):
+    on, off = tmp_path / "on", tmp_path / "off"
+    assert main(["--scenario", SMOKE, "--out", str(on), "--seed", "5"]) == 0
+    assert renders == {"trace": 1, "scenario": 1}
+    assert main(["--scenario", SMOKE, "--out", str(off), "--seed", "5",
+                 "--trace", "off"]) == 0
+    capsys.readouterr()
+    trace = (on / "trace_seed5.log").read_bytes()
+    assert trace.endswith(b"\n")
+    digests = {
+        hashlib.sha256(trace[:-1]).hexdigest(),
+        *(json.loads((out / "summary_seed5.json").read_text(encoding="utf-8"))["trace_digest"]
+          for out in (on, off)),
+    }
+    assert len(digests) == 1
+
+
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
@@ -300,6 +335,14 @@ def test_seed_sweep_writes_one_run_per_seed_plus_aggregate(tmp_path, capsys, ren
 def test_backwards_seed_range_exits_two(capsys):
     assert main(["--scenario", SMOKE, "--seeds", "5..3"]) == 2
     capsys.readouterr()
+
+
+def test_seed_with_seeds_exits_two_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--scenario", SMOKE, "--out", str(out), "--seed", "5",
+                 "--seeds", "1..2"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_writes_paired_rows(tmp_path, capsys):

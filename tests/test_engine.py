@@ -1,9 +1,11 @@
 """Event loop ordering, determinism, and seeded stream behavior."""
 
 import hashlib
+import io
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -155,21 +157,26 @@ def test_identical_seed_gives_identical_trace():
     # oracle: run twice, compare byte-wise
     first = _traced_run(master_seed=11)
     second = _traced_run(master_seed=11)
-    assert first.lines() == second.lines()
+    assert list(first.lines()) == list(second.lines())
     different = _traced_run(master_seed=12)
-    assert different.lines() != first.lines()
+    assert list(different.lines()) != list(first.lines())
 
 
 def test_trace_line_format_is_tab_separated():
     recorder = _traced_run(master_seed=5)
-    line = recorder.lines()[0]
+    line = next(recorder.lines())
     fire_at, seq, kind, digest = line.split("\t")
     assert (fire_at, seq, kind) == ("0", "0", "arrival")
     assert len(digest) == 16
     assert digest == payload_digest(recorder.events[0].payload)
 
 
-def test_trace_text_is_rendered_once_and_never_stale(monkeypatch):
+def _sha256_of_lines(recorder):
+    text = "\n".join(trace_line(ev) for ev in recorder.events)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_trace_digest_is_rendered_once_per_log_length_and_never_stale(monkeypatch):
     engine = SimEngine()
     recorder = TraceRecorder()
     engine.add_observer(recorder)
@@ -183,17 +190,64 @@ def test_trace_text_is_rendered_once_and_never_stale(monkeypatch):
     monkeypatch.setattr(TraceRecorder, "lines", counting_lines)
     engine.emit("a", {"x": 1})
     engine.drain()
-    first = recorder.text()
-    assert recorder.text() is first
-    assert recorder.digest() == hashlib.sha256(first.encode("utf-8")).hexdigest()
+    first = recorder.digest()
+    assert recorder.digest() == first == _sha256_of_lines(recorder)
     assert renders == [1]
-    # an event recorded after the render makes the kept text stale
+    # an event recorded after the render makes the kept digest stale
     engine.emit("b", {"y": 2})
     engine.drain()
-    assert recorder.text() == "\n".join(trace_line(ev) for ev in recorder.events)
-    assert recorder.text().startswith(first + "\n")
-    assert recorder.digest() == hashlib.sha256(recorder.text().encode("utf-8")).hexdigest()
+    second = recorder.digest()
+    assert recorder.digest() == second == _sha256_of_lines(recorder)
+    assert second != first
     assert renders == [1, 2]
+
+
+class _HashingSink:
+    """A binary sink that hashes what it is given and keeps nothing else."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, data: bytes) -> int:
+        self.sha.update(data)
+        return len(data)
+
+
+def _synthetic_log(count):
+    recorder = TraceRecorder()
+    for seq in range(count):
+        recorder(Event(fire_at=seq // 7, seq=seq, kind="probe",
+                       payload={"request_id": f"req{seq:06d}", "n": seq}))
+    return recorder
+
+
+@pytest.mark.parametrize("count", [0, 1, engine_module._CHUNK_LINES,
+                                   2 * engine_module._CHUNK_LINES + 3])
+def test_digest_sink_receives_the_lines_and_a_final_newline(count):
+    recorder = _synthetic_log(count)
+    sink = io.BytesIO()
+    digest = recorder.digest(sink)
+    expected = "\n".join(recorder.lines()) + "\n"
+    assert sink.getvalue() == expected.encode("utf-8")
+    # the digest hashes the file less its final newline
+    assert digest == hashlib.sha256(sink.getvalue()[:-1]).hexdigest()
+    assert recorder.digest() == digest
+
+
+def test_digest_with_a_sink_holds_memory_flat_in_the_log_length():
+    # the trace is never held whole: peak memory over a log four times
+    # longer stays within half again of the shorter log's
+    def peak(count):
+        recorder = _synthetic_log(count)
+        tracemalloc.start()
+        try:
+            recorder.digest(_HashingSink())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10_000), peak(40_000)
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_payload_digest_is_key_order_insensitive():
@@ -217,7 +271,7 @@ def test_payload_digest_matches_json_dumps(payload):
     assert payload_digest(payload) == expected
     recorder = TraceRecorder()
     recorder(Event(fire_at=3, seq=7, kind="probe", payload=payload))
-    assert recorder.lines() == [f"3\t7\tprobe\t{expected}"]
+    assert list(recorder.lines()) == [f"3\t7\tprobe\t{expected}"]
 
 
 def test_pure_python_encoder_renders_the_same_digest(monkeypatch):

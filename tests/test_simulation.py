@@ -7,12 +7,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import yaml
 
 from cloudmarket import simulation
 from cloudmarket.datacenter import fleet_specs
 from cloudmarket.exchange import WORLD
 from cloudmarket.simulation import compare_modes, request_trace_digest, run_scenario
-from cloudmarket.workload import dump_scenario, generate_requests, load_scenario
+from cloudmarket.workload import (
+    dump_scenario,
+    generate_requests,
+    load_scenario,
+    validate_scenario,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -41,7 +47,7 @@ def smoke_baseline():
 def test_same_seed_is_byte_identical():
     first = run_scenario(load("smoke.yaml"), seed=11, mode="market")
     second = run_scenario(load("smoke.yaml"), seed=11, mode="market")
-    assert first.trace.lines() == second.trace.lines()
+    assert list(first.trace.lines()) == list(second.trace.lines())
     assert journal_rows(first) == journal_rows(second)
     assert first.summary.to_json() == second.summary.to_json()
     assert first.request_digest == second.request_digest
@@ -51,7 +57,7 @@ def test_different_seeds_diverge():
     a = run_scenario(load("smoke.yaml"), seed=11, mode="market")
     b = run_scenario(load("smoke.yaml"), seed=12, mode="market")
     assert a.request_digest != b.request_digest
-    assert a.trace.lines() != b.trace.lines()
+    assert list(a.trace.lines()) != list(b.trace.lines())
 
 
 @pytest.mark.parametrize("mode", ["market", "system_centric"])
@@ -174,7 +180,7 @@ def test_compare_sides_equal_standalone_runs(name, seed, monkeypatch):
     for side in pair:
         alone = run_scenario(replace(scenario, mode=side.mode), seed)
         assert side.summary.to_dict() == alone.summary.to_dict()
-        assert side.trace_text == alone.trace_text
+        assert list(side.trace.lines()) == list(alone.trace.lines())
         assert side.collector.request_rows() == alone.collector.request_rows()
         assert journal_rows(side) == journal_rows(alone)
 
@@ -202,9 +208,46 @@ def _sha256(text):
 def test_digests_read_on_demand_hash_what_they_name(name, mode):
     scenario = load(name)
     result = run_scenario(scenario, seed=0, mode=mode)
-    assert result.summary.trace_digest == _sha256(result.trace_text)
+    assert result.summary.trace_digest == _sha256("\n".join(result.trace.lines()))
     assert result.summary.scenario_digest == _sha256(dump_scenario(scenario))
     assert result.request_digest == request_trace_digest(result.requests)
+
+
+def _replayed(name, reverse):
+    """The scenario with its seed-0 requests as a trace arrival, and its
+    providers, brokers and consumers listed in reverse if asked."""
+    raw = yaml.safe_load((SCENARIOS / name).read_text(encoding="utf-8"))
+    raw["workload"] = {"arrival": {"kind": "trace", "requests": [
+        {"consumer_id": r.consumer_id, "submit_time": r.submit_time,
+         "volume": r.workload_volume, "cpu_need": r.qos.cpu_need,
+         "mem_need": r.qos.mem_need, "deadline": r.qos.deadline,
+         "budget": r.qos.budget}
+        for r in generate_requests(load(name), 0)
+    ]}}
+    if reverse:
+        for key in ("providers", "brokers", "consumers"):
+            raw[key] = raw[key][::-1]
+    return validate_scenario(raw, name)
+
+
+@pytest.mark.parametrize("mode", ["market", "system_centric"])
+@pytest.mark.parametrize("name", ["smoke.yaml", "two_class.yaml"])
+def test_listing_order_of_parties_does_not_matter(name, mode):
+    # metamorphic relation: the scenario names its parties by id, so the
+    # order it lists them in must not reach any artifact
+    runs = [run_scenario(_replayed(name, reverse), seed=0, mode=mode)
+            for reverse in (False, True)]
+    assert len({run.request_digest for run in runs}) == 1
+    summaries = []
+    for run in runs:
+        summary = run.summary.to_dict()
+        summary.pop("scenario_digest")
+        summaries.append(summary)
+    forward, backward = runs
+    assert list(forward.trace.lines()) == list(backward.trace.lines())
+    assert journal_rows(forward) == journal_rows(backward)
+    assert forward.collector.request_rows() == backward.collector.request_rows()
+    assert summaries[0] == summaries[1]
 
 
 def test_unknown_mode_is_refused():
