@@ -3,7 +3,8 @@
 The examiner either rejects a request with the most fundamental reason
 that applies (deadline before budget before capacity) or accepts it and
 commits a capacity block, so an accepted plan can never be invalidated
-by later admissions.
+by later admissions.  A request whose block the exchange already
+reserved is admitted by `admit_reserved`, which commits nothing new.
 """
 
 from __future__ import annotations
@@ -131,21 +132,36 @@ class SlaAllocator:
         self,
         request: ServiceRequest,
         at: int,
-        backing: tuple[str, int, int] | None = None,
-        agreed_price: Money | None = None,
         search_until: int | None = None,
     ) -> Decision:
         """Admit or reject a request at tick `at`.
 
-        `backing` is (machine_id, window_start, window_end) for a request
-        whose capacity was already reserved; the plan then sits inside the
-        reservation and no new commitment is made.  `agreed_price`
-        overrides the posted quote when a price was already negotiated.
         `search_until`, when given, replaces the deadline as the tick the
         work must end by: slots past the deadline are searched up to it and
         lateness is settled through penalties instead.
         """
-        decision = self._examine_inner(request, at, backing, agreed_price, search_until)
+        decision = self._examine_inner(request, at, search_until)
+        self._emit_admission(request, decision, backed=False)
+        return decision
+
+    def admit_reserved(
+        self,
+        request: ServiceRequest,
+        machine_id: str,
+        start: int,
+        price: Money,
+    ) -> AllocationPlan:
+        """Admit a request at its agreed `price` into the block reserved for
+        it on `machine_id` from `start`, which holds exactly boot plus runtime."""
+        exec_start = start + self.datacenter.boot_delay
+        plan = AllocationPlan(
+            request.request_id, machine_id, start, exec_start,
+            exec_start + request.runtime, price,
+        )
+        self._emit_admission(request, Accept(plan), backed=True)
+        return plan
+
+    def _emit_admission(self, request: ServiceRequest, decision: Decision, backed: bool) -> None:
         payload = {
             "provider": self.datacenter.provider_id,
             "request_id": request.request_id,
@@ -160,41 +176,29 @@ class SlaAllocator:
                 "completion": decision.plan.completion,
                 "cpu": request.qos.cpu_need,
                 "mem": request.qos.mem_need,
-                "backed": backing is not None,
+                "backed": backed,
             })
         self.engine.emit("admission", payload)
-        return decision
 
     def _examine_inner(
         self,
         request: ServiceRequest,
         at: int,
-        backing: tuple[str, int, int] | None,
-        agreed_price: Money | None,
         search_until: int | None,
     ) -> Decision:
         qos = request.qos
         runtime = request.runtime
         boot = self.datacenter.boot_delay
-        if backing is not None:
-            machine_id, window_start, window_end = backing
-            vm_start = max(at, window_start)
-            exec_start = vm_start + boot
-            completion = exec_start + runtime
-            if completion > window_end:
-                return Reject(REJECT_CAPACITY, "reserved window too small")
-            price = agreed_price if agreed_price is not None else self._quote_now(request, at)
-            return Accept(AllocationPlan(
-                request.request_id, machine_id, vm_start, exec_start, completion, price,
-            ))
-
         # fastest possible finish on an idle machine
         if search_until is None and at + boot + runtime > qos.deadline:
             return Reject(
                 REJECT_DEADLINE,
                 f"needs {boot + runtime} ticks from {at}, deadline {qos.deadline}",
             )
-        price = agreed_price if agreed_price is not None else self._quote_now(request, at)
+        price = quote(
+            self.pricing, request.workload_volume, request.submit_time,
+            self.datacenter.utilization_at(at),
+        )
         if price > qos.budget:
             return Reject(REJECT_BUDGET, f"quote {price} exceeds budget {qos.budget}")
 
@@ -215,11 +219,3 @@ class SlaAllocator:
             cpu=qos.cpu_need, mem=qos.mem_need, owner=request.request_id,
         ))
         return Accept(plan)
-
-    def _quote_now(self, request: ServiceRequest, at: int) -> Money:
-        return quote(
-            self.pricing,
-            request.workload_volume,
-            request.submit_time,
-            self.datacenter.utilization_at(at),
-        )

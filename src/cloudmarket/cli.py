@@ -15,11 +15,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .datacenter import CapacityViolation, InsufficientCapacity
-from .exchange import ConservationError
+from .datacenter import CapacityViolation, InsufficientCapacity, UnknownVm
+from .engine import SchedulingInPast
+from .exchange import (
+    AlreadySettled, ConservationError, InsufficientFunds, InvalidOrder, InvalidPolicy,
+    UnknownAccount,
+)
 from .metrics import CrossCheckFailure, OutOfOrderEvent, REQUEST_CSV_FIELDS, report
+from .negotiation import InvalidTerms, SessionTerminated
 from .simulation import (
-    BackedAdmissionRejected,
     RunResult,
     UnexpectedCompletion,
     UnexpectedFill,
@@ -41,10 +45,12 @@ EXIT_INVARIANT = 4
 
 OUT_DIR_ENV = "CLOUDMARKET_OUT"
 
+# every exception the simulator raises is a fault of the run, not of its input
 INVARIANT_ERRORS = (
-    CapacityViolation, InsufficientCapacity, ConservationError,
-    CrossCheckFailure, OutOfOrderEvent, BackedAdmissionRejected,
-    UnexpectedCompletion, UnexpectedFill,
+    CapacityViolation, InsufficientCapacity, UnknownVm, SchedulingInPast,
+    UnknownAccount, InsufficientFunds, AlreadySettled, InvalidOrder,
+    InvalidPolicy, ConservationError, CrossCheckFailure, OutOfOrderEvent,
+    InvalidTerms, SessionTerminated, UnexpectedCompletion, UnexpectedFill,
 )
 
 
@@ -132,8 +138,7 @@ def _write_artifacts(out: Path, args, result: RunResult) -> list[Path]:
     with metrics_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=REQUEST_CSV_FIELDS)
         writer.writeheader()
-        for row in result.collector.request_rows():
-            writer.writerow(row)
+        writer.writerows(result.collector.iter_request_rows())
     paths.append(metrics_path)
 
     journal_path = out / f"journal_seed{seed}.csv"

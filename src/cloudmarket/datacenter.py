@@ -33,15 +33,7 @@ class InsufficientCapacity(Exception):
 
 
 class UnknownVm(Exception):
-    pass
-
-
-class AlreadyStopped(Exception):
-    pass
-
-
-class VmBusy(Exception):
-    """One request per VM: the VM is already executing."""
+    """A release named a VM that is not running: a simulator bug."""
 
 
 class CapacityViolation(Exception):
@@ -50,13 +42,10 @@ class CapacityViolation(Exception):
 
 @dataclass
 class Vm:
-    vm_id: str
     host: str
     cpu_entitlement: int
     mem_entitlement: int
     ready_at: int
-    stopped: bool = False
-    assigned_request: str | None = None
 
 
 @dataclass(frozen=True)
@@ -225,7 +214,7 @@ class MachineCalendar:
 
 
 class Datacenter:
-    """One provider's fleet: machine calendars and the VM population.
+    """One provider's fleet: machine calendars and its running VMs.
 
     Lifecycle notes are emitted as same-tick events on the owning
     engine; VM boot completion and request completion are scheduled
@@ -248,6 +237,7 @@ class Datacenter:
         for machine_id, cpu, mem in machine_specs:
             self.calendars[machine_id] = MachineCalendar(cpu, mem)
             self.hosted[machine_id] = set()
+        # the running VMs by id; a released VM leaves
         self.vms: dict[str, Vm] = {}
         self._vm_counter = 0
 
@@ -290,13 +280,17 @@ class Datacenter:
 
     def provision_vm(
         self,
+        request_id: str,
         cpu_entitlement: int,
         mem_entitlement: int,
+        workload_volume: int,
         at: int,
         machine_id: str,
     ) -> str:
-        if cpu_entitlement <= 0:
-            raise InsufficientCapacity("entitlement must be positive")
+        """Start a VM for one request and run the request on it once booted.
+
+        Each VM exists for exactly one request, so provisioning is dispatch.
+        """
         machine = self.calendars[machine_id]
         hosted = self.hosted[machine_id]
         used_cpu = sum(self.vms[v].cpu_entitlement for v in hosted)
@@ -310,59 +304,36 @@ class Datacenter:
             )
         self._vm_counter += 1
         vm_id = f"{self.provider_id}-vm{self._vm_counter:05d}"
-        vm = Vm(
-            vm_id=vm_id,
-            host=machine_id,
-            cpu_entitlement=cpu_entitlement,
-            mem_entitlement=mem_entitlement,
-            ready_at=at + self.boot_delay,
-        )
-        self.vms[vm_id] = vm
+        start = at + self.boot_delay
+        self.vms[vm_id] = Vm(machine_id, cpu_entitlement, mem_entitlement, start)
         hosted.add(vm_id)
         self.engine.emit("vm_provision", {
             "provider": self.provider_id, "vm_id": vm_id, "machine": machine_id,
-            "cpu": cpu_entitlement, "mem": mem_entitlement, "ready_at": vm.ready_at,
+            "cpu": cpu_entitlement, "mem": mem_entitlement, "ready_at": start,
         })
         self.engine.schedule("vm_booted", {
             "provider": self.provider_id, "vm_id": vm_id,
-        }, fire_at=vm.ready_at)
+        }, fire_at=start)
+        completion = start + ceil_div(workload_volume, cpu_entitlement)
+        self.engine.emit("dispatch", {
+            "provider": self.provider_id, "request_id": request_id, "vm_id": vm_id,
+            "start": start, "completion": completion, "volume": workload_volume,
+        })
+        self.engine.schedule("completion", {
+            "provider": self.provider_id, "request_id": request_id, "vm_id": vm_id,
+            "start": start, "volume": workload_volume,
+        }, fire_at=completion)
         return vm_id
 
-    def release_vm(self, vm_id: str, at: int) -> tuple[int, int]:
-        vm = self.vms.get(vm_id)
+    def release_vm(self, vm_id: str, at: int) -> None:
+        vm = self.vms.pop(vm_id, None)
         if vm is None:
-            raise UnknownVm(vm_id)
-        if vm.stopped:
-            raise AlreadyStopped(vm_id)
-        vm.stopped = True
-        vm.assigned_request = None
+            raise UnknownVm(f"{self.provider_id} runs no VM {vm_id} at t={at}")
         self.hosted[vm.host].discard(vm_id)
         self.engine.emit("vm_release", {
             "provider": self.provider_id, "vm_id": vm_id, "machine": vm.host,
             "cpu": vm.cpu_entitlement, "mem": vm.mem_entitlement,
         })
-        return vm.cpu_entitlement, vm.mem_entitlement
-
-    def dispatch(self, request_id: str, vm_id: str, at: int, workload_volume: int) -> int:
-        """Start execution; returns the scheduled completion event id."""
-        vm = self.vms.get(vm_id)
-        if vm is None:
-            raise UnknownVm(vm_id)
-        if vm.stopped:
-            raise AlreadyStopped(vm_id)
-        if vm.assigned_request is not None:
-            raise VmBusy(f"{vm_id} is executing {vm.assigned_request}")
-        vm.assigned_request = request_id
-        start = max(at, vm.ready_at)
-        completion = start + ceil_div(workload_volume, vm.cpu_entitlement)
-        self.engine.emit("dispatch", {
-            "provider": self.provider_id, "request_id": request_id, "vm_id": vm_id,
-            "start": start, "completion": completion, "volume": workload_volume,
-        })
-        return self.engine.schedule("completion", {
-            "provider": self.provider_id, "request_id": request_id, "vm_id": vm_id,
-            "start": start, "volume": workload_volume,
-        }, fire_at=completion)
 
 
 def fleet_specs(provider_id: str, groups: list[dict]) -> list[tuple[str, int, int]]:

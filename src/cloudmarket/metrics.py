@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 from .engine import Event
 from .exchange import Ledger, WORLD
@@ -391,10 +391,13 @@ class MetricsCollector:
             )
 
     def request_rows(self) -> list[dict]:
-        rows = []
+        return list(self.iter_request_rows())
+
+    def iter_request_rows(self) -> Iterator[dict]:
+        """One CSV row per request, in id order, built as it is read."""
         for request_id in sorted(self.records):
             r = self.records[request_id]
-            rows.append({
+            yield {
                 "request_id": r.request_id,
                 "consumer": r.consumer,
                 "submit_time": r.submit_time,
@@ -412,8 +415,7 @@ class MetricsCollector:
                 "turnaround": "" if r.turnaround is None else r.turnaround,
                 "consumer_paid": r.consumer_paid,
                 "penalty_received": r.penalty_received,
-            })
-        return rows
+            }
 
 
 def _funding(ledger: Ledger) -> dict[str, Money]:

@@ -55,10 +55,6 @@ UNSERVED_NEGOTIATION_FAILED = "NegotiationFailed"
 UNSERVED_HORIZON = "HorizonExhausted"
 
 
-class BackedAdmissionRejected(Exception):
-    """A provider's examiner refused a request whose slot was already reserved."""
-
-
 class UnexpectedCompletion(Exception):
     """A completion fired for a request that holds no open commitment."""
 
@@ -273,12 +269,9 @@ class _Run:
         now = self.engine.clock
         prov = self.providers[commit.provider_id]
         request = commit.request
-        vm_id = prov.datacenter.provision_vm(
-            request.qos.cpu_need, request.qos.mem_need, now,
-            machine_id=commit.machine_id,
-        )
-        prov.datacenter.dispatch(
-            request.request_id, vm_id, now, request.workload_volume,
+        prov.datacenter.provision_vm(
+            request.request_id, request.qos.cpu_need, request.qos.mem_need,
+            request.workload_volume, now, machine_id=commit.machine_id,
         )
 
     def mark_unserved(self, request_id: str, reason: str) -> None:
@@ -620,16 +613,7 @@ class _MarketRun(_Run):
             promised_completion=request.qos.deadline,
             penalty=self.scenario.penalty,
         )
-        decision = prov.allocator.examine(
-            request, now,
-            backing=(machine_id, start, end),
-            agreed_price=consumer_price,
-        )
-        if not isinstance(decision, Accept):
-            raise BackedAdmissionRejected(
-                f"{request.request_id}: {provider_id} rejected its reserved slot "
-                f"on {machine_id} [{start}, {end}): {decision.reason} ({decision.detail})"
-            )
+        prov.allocator.admit_reserved(request, machine_id, start, consumer_price)
         self.committed[request.request_id] = _Commitment(
             request, provider_id, broker_id, sla_consumer, sla_procure, machine_id,
         )

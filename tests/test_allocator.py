@@ -17,8 +17,8 @@ from cloudmarket.allocator import (
     REJECT_CAPACITY,
     REJECT_DEADLINE,
 )
-from cloudmarket.datacenter import Datacenter, MachineCalendar
-from cloudmarket.engine import SimEngine
+from cloudmarket.datacenter import Block, Datacenter, MachineCalendar
+from cloudmarket.engine import SimEngine, TraceRecorder
 
 
 def make_allocator(specs, rate=1, boot_delay=0):
@@ -146,9 +146,7 @@ def test_queued_start_inside_the_deadline():
 
 def test_backed_admission_sits_inside_the_reservation():
     # a reservation occupies the calendar; an open search must steer
-    # around it, while a backed examine lands inside it
-    from cloudmarket.datacenter import Block
-
+    # around it, while the reserved admission lands inside it
     alloc = make_allocator([("m1", 4, 16)])
     alloc.datacenter.calendars["m1"].add(Block(5, 30, 4, 4, owner="rsv000001"))
     open_search = alloc.examine(
@@ -157,21 +155,37 @@ def test_backed_admission_sits_inside_the_reservation():
     )
     assert isinstance(open_search, Accept)
     assert open_search.plan.vm_start == 30  # pushed past the hold
-    backed = alloc.examine(
+    backed = alloc.admit_reserved(
         request("req000002", 0, volume=8, cpu=4, deadline=100, budget=10_000),
-        at=5, backing=("m1", 5, 30),
+        machine_id="m1", start=5, price=1_000,
     )
-    assert isinstance(backed, Accept)
-    assert backed.plan.vm_start == 5
-    assert backed.plan.completion == 7
+    assert backed.vm_start == 5
+    assert backed.completion == 7
 
 
-def test_agreed_price_overrides_the_quote():
-    alloc = make_allocator([("m1", 4, 16)], rate=100)
-    req = request("req000001", 0, volume=50, cpu=1, deadline=100, budget=4_999)
-    decision = alloc.examine(req, at=0, agreed_price=4_000)
-    assert isinstance(decision, Accept)
-    assert decision.plan.price == 4_000
+def test_admit_reserved_emits_the_backed_admission_and_commits_nothing():
+    # the reserved block is boot + runtime long; the agreed price stands
+    # even above the posted quote (8 cu-ticks at 100 = 800)
+    alloc = make_allocator([("m1", 4, 16)], rate=100, boot_delay=2)
+    recorder = TraceRecorder()
+    alloc.engine.add_observer(recorder)
+    calendar = alloc.datacenter.calendars["m1"]
+    calendar.add(Block(5, 9, 4, 2, owner="rsv000001"))
+    alloc.engine.run_until(3)
+    plan = alloc.admit_reserved(
+        request("req000001", 0, volume=8, cpu=4, deadline=20, budget=500, mem=2),
+        machine_id="m1", start=5, price=1_234,
+    )
+    assert (plan.vm_start, plan.exec_start, plan.completion, plan.price) == (5, 7, 9, 1_234)
+    assert calendar.blocks == [Block(5, 9, 4, 2, owner="rsv000001")]
+    alloc.engine.drain()
+    [event] = recorder.events
+    assert (event.kind, event.fire_at) == ("admission", 3)
+    assert list(event.payload.items()) == [
+        ("provider", "prov"), ("request_id", "req000001"), ("accepted", True),
+        ("reason", None), ("price", 1_234), ("machine", "m1"), ("vm_start", 5),
+        ("completion", 9), ("cpu", 4), ("mem", 2), ("backed", True),
+    ]
 
 
 def test_relaxed_deadline_mode_queues_late_work():

@@ -11,8 +11,8 @@ import pytest
 import yaml
 
 from cloudmarket import simulation
-from cloudmarket.allocator import REJECT_CAPACITY, Reject, SlaAllocator
 from cloudmarket.cli import main
+from cloudmarket.datacenter import Datacenter
 from cloudmarket.engine import SimEngine, TraceRecorder
 from cloudmarket.exchange import OrderBook, ReservationBook
 
@@ -185,22 +185,22 @@ def test_compare_renders_no_trace_and_dumps_no_scenario(tmp_path, capsys, render
     assert renders == {}
 
 
-def test_rejected_backed_admission_exits_four_and_names_the_request(
-        tmp_path, monkeypatch, capsys):
-    real_examine = SlaAllocator.examine
-    refused = []
+def test_vm_released_twice_exits_four_and_names_the_vm(tmp_path, monkeypatch, capsys):
+    real_release = Datacenter.release_vm
+    released = []
 
-    def refuse_backed(self, request, at, backing=None, **kwargs):
-        if backing is None:
-            return real_examine(self, request, at, **kwargs)
-        refused.append(request.request_id)
-        return Reject(REJECT_CAPACITY, "refused for the test")
+    def release_first_vm_twice(self, vm_id, at):
+        freed = real_release(self, vm_id, at)
+        if not released:
+            released.append(vm_id)
+            real_release(self, vm_id, at)
+        return freed
 
-    monkeypatch.setattr(SlaAllocator, "examine", refuse_backed)
+    monkeypatch.setattr(Datacenter, "release_vm", release_first_vm_twice)
     code = main(["--scenario", SMOKE, "--out", str(tmp_path / "out"), "--seed", "5"])
     assert code == 4
     err = capsys.readouterr().err
-    assert refused and refused[0] in err
+    assert released and f"runs no VM {released[0]} at t=" in err
 
 
 @pytest.mark.parametrize("mode", ["market", "system_centric"])

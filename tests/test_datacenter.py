@@ -6,14 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cloudmarket.datacenter import (
-    AlreadyStopped,
     Block,
     CapacityViolation,
     Datacenter,
     InsufficientCapacity,
     MachineCalendar,
     UnknownVm,
-    VmBusy,
     fleet_specs,
 )
 from cloudmarket.engine import SimEngine, TraceRecorder
@@ -23,6 +21,11 @@ def hosted_usage(dc, machine_id):
     """(cpu, mem) held by the VMs a machine hosts."""
     vms = [dc.vms[v] for v in dc.hosted[machine_id]]
     return sum(vm.cpu_entitlement for vm in vms), sum(vm.mem_entitlement for vm in vms)
+
+
+def provision(dc, cpu, mem, at, machine_id, request_id="req000001", volume=1):
+    """Start a VM that runs one request of `volume` cu-ticks."""
+    return dc.provision_vm(request_id, cpu, mem, volume, at=at, machine_id=machine_id)
 
 
 def make_dc(specs, boot_delay=0):
@@ -41,49 +44,48 @@ def test_fresh_datacenter_is_idle():
     assert not dc.hosted["m1"]
     # the whole machine is free: a full-size VM fits, one cu more does not
     with pytest.raises(InsufficientCapacity):
-        dc.provision_vm(5, 16, at=0, machine_id="m1")
-    dc.provision_vm(4, 16, at=0, machine_id="m1")
+        provision(dc, 5, 16, at=0, machine_id="m1")
+    provision(dc, 4, 16, at=0, machine_id="m1")
 
 
 def test_single_machine_placement():
     _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(1, 4, at=0, machine_id="m1")
+    vm_id = provision(dc, 1, 4, at=0, machine_id="m1")
     assert dc.vms[vm_id].host == "m1"
     assert dc.hosted["m1"] == {vm_id}
     assert hosted_usage(dc, "m1") == (1, 4)
     # 3 cu are left
     with pytest.raises(InsufficientCapacity):
-        dc.provision_vm(4, 1, at=0, machine_id="m1")
-    dc.provision_vm(3, 1, at=0, machine_id="m1")
+        provision(dc, 4, 1, at=0, machine_id="m1")
+    provision(dc, 3, 1, at=0, machine_id="m1")
 
 
 def test_full_fleet_refuses_more_vms():
     _, _, dc = make_dc([("m1", 2, 8)])
-    dc.provision_vm(2, 8, at=0, machine_id="m1")
+    provision(dc, 2, 8, at=0, machine_id="m1")
     with pytest.raises(InsufficientCapacity):
-        dc.provision_vm(1, 1, at=0, machine_id="m1")
+        provision(dc, 1, 1, at=0, machine_id="m1")
 
 
 def test_release_returns_all_capacity():
     _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 16, at=0, machine_id="m1")
-    freed = dc.release_vm(vm_id, at=5)
-    assert freed == (4, 16)
+    vm_id = provision(dc, 4, 16, at=0, machine_id="m1")
+    dc.release_vm(vm_id, at=5)
     assert not dc.hosted["m1"]
     assert hosted_usage(dc, "m1") == (0, 0)
-    dc.provision_vm(4, 16, at=5, machine_id="m1")
+    provision(dc, 4, 16, at=5, machine_id="m1")
 
 
 def test_release_then_equal_provision_same_tick():
     _, _, dc = make_dc([("m1", 4, 16)])
-    first = dc.provision_vm(4, 16, at=0, machine_id="m1")
+    first = provision(dc, 4, 16, at=0, machine_id="m1")
     dc.release_vm(first, at=3)
-    second = dc.provision_vm(4, 16, at=3, machine_id="m1")
+    second = provision(dc, 4, 16, at=3, machine_id="m1")
     assert second != first
     assert dc.hosted["m1"] == {second}
     assert hosted_usage(dc, "m1") == (4, 16)
     with pytest.raises(InsufficientCapacity):
-        dc.provision_vm(1, 1, at=3, machine_id="m1")
+        provision(dc, 1, 1, at=3, machine_id="m1")
 
 
 def test_release_unknown_vm():
@@ -94,16 +96,17 @@ def test_release_unknown_vm():
 
 def test_double_release_is_refused():
     _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(1, 1, at=0, machine_id="m1")
+    vm_id = provision(dc, 1, 1, at=0, machine_id="m1")
     dc.release_vm(vm_id, at=1)
-    with pytest.raises(AlreadyStopped):
+    assert vm_id not in dc.vms
+    with pytest.raises(UnknownVm, match=vm_id):
         dc.release_vm(vm_id, at=2)
 
 
 def test_boot_delay_gates_vm_state():
     engine, recorder, dc = make_dc([("m1", 4, 16)], boot_delay=3)
     engine.run_until(10)
-    vm_id = dc.provision_vm(1, 1, at=10, machine_id="m1")
+    vm_id = provision(dc, 1, 1, at=10, machine_id="m1")
     assert dc.vms[vm_id].ready_at == 13
     engine.drain()
     booted = [ev for ev in recorder.events if ev.kind == "vm_booted"]
@@ -143,7 +146,9 @@ def test_snapshot_matches_independent_trace_replay():
             overflows = used_cpu + cpu > m.cpu_capacity or used_mem + mem > m.mem_capacity
             refused += overflows
             try:
-                live.append(dc.provision_vm(cpu, mem, at=at, machine_id=machine_id))
+                live.append(provision(
+                    dc, cpu, mem, at=at, machine_id=machine_id, request_id=f"req{step:06d}",
+                ))
             except InsufficientCapacity:
                 assert overflows
             else:
@@ -154,6 +159,7 @@ def test_snapshot_matches_independent_trace_replay():
     engine.drain()
     now = engine.clock
     assert refused > 0
+    assert live
 
     hosted = {machine_id: set() for machine_id in dc.calendars}
     vms = {}
@@ -163,35 +169,29 @@ def test_snapshot_matches_independent_trace_replay():
             hosted[p["machine"]].add(p["vm_id"])
             state = "Running" if now >= p["ready_at"] else "Starting"
             vms[p["vm_id"]] = {
-                "host": p["machine"], "cpu": p["cpu"], "mem": p["mem"],
-                "state": state, "assigned_request": None,
+                "host": p["machine"], "cpu": p["cpu"], "mem": p["mem"], "state": state,
             }
         elif ev.kind == "vm_release":
             hosted[p["machine"]].discard(p["vm_id"])
-            vms[p["vm_id"]]["state"] = "Stopped"
+            del vms[p["vm_id"]]
 
     for machine_id, reduced in hosted.items():
         assert dc.hosted[machine_id] == reduced
         assert hosted_usage(dc, machine_id) == replay_usage(recorder.events, machine_id)
 
-    def state(vm):
-        if vm.stopped:
-            return "Stopped"
-        return "Running" if now >= vm.ready_at else "Starting"
-
-    assert {v: state(vm) for v, vm in dc.vms.items()} == {
-        v: d["state"] for v, d in vms.items()
-    }
-    assert {v: (vm.host, vm.cpu_entitlement, vm.mem_entitlement) for v, vm in dc.vms.items()} == {
-        v: (d["host"], d["cpu"], d["mem"]) for v, d in vms.items()
-    }
+    # only the VMs never released are left, each as the trace describes it
+    assert set(dc.vms) == set(vms) == set(live)
+    assert {
+        v: (vm.host, vm.cpu_entitlement, vm.mem_entitlement,
+            "Running" if now >= vm.ready_at else "Starting")
+        for v, vm in dc.vms.items()
+    } == {v: (d["host"], d["cpu"], d["mem"], d["state"]) for v, d in vms.items()}
 
 
 def test_dispatch_completion_arithmetic():
     # 100 cu-ticks on a 4-cu VM from t=10 finishes at t=35
     engine, recorder, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 1, at=10, machine_id="m1")
-    dc.dispatch("req000001", vm_id, at=10, workload_volume=100)
+    provision(dc, 4, 1, at=10, machine_id="m1", volume=100)
     engine.drain()
     completion = [ev for ev in recorder.events if ev.kind == "completion"][0]
     assert completion.fire_at == 35
@@ -200,27 +200,27 @@ def test_dispatch_completion_arithmetic():
 def test_dispatch_rounds_partial_ticks_up():
     # 10 cu-ticks on 4 cu takes ceil(2.5) = 3 ticks
     engine, recorder, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 1, at=0, machine_id="m1")
-    dc.dispatch("req000001", vm_id, at=0, workload_volume=10)
+    provision(dc, 4, 1, at=0, machine_id="m1", volume=10)
     engine.drain()
     assert [ev for ev in recorder.events if ev.kind == "completion"][0].fire_at == 3
 
 
 def test_dispatch_waits_for_boot():
     engine, recorder, dc = make_dc([("m1", 4, 16)], boot_delay=5)
-    vm_id = dc.provision_vm(4, 1, at=0, machine_id="m1")
-    dc.dispatch("req000001", vm_id, at=0, workload_volume=4)
+    vm_id = provision(dc, 4, 1, at=0, machine_id="m1", volume=4)
     engine.drain()
-    assert [ev for ev in recorder.events if ev.kind == "dispatch"][0].payload["start"] == 5
-    assert [ev for ev in recorder.events if ev.kind == "completion"][0].fire_at == 6
-
-
-def test_dispatch_to_busy_vm():
-    _, _, dc = make_dc([("m1", 4, 16)])
-    vm_id = dc.provision_vm(4, 1, at=0, machine_id="m1")
-    dc.dispatch("req000001", vm_id, at=0, workload_volume=40)
-    with pytest.raises(VmBusy):
-        dc.dispatch("req000002", vm_id, at=1, workload_volume=4)
+    # the boot is scheduled before the dispatch is emitted, so seq follows
+    # the order of the calls and not the order the events fire in
+    assert [(ev.kind, ev.fire_at, ev.seq) for ev in recorder.events] == [
+        ("vm_provision", 0, 0), ("dispatch", 0, 2), ("vm_booted", 5, 1), ("completion", 6, 3),
+    ]
+    dispatch = recorder.events[1].payload
+    assert (dispatch["request_id"], dispatch["vm_id"]) == ("req000001", vm_id)
+    assert (dispatch["start"], dispatch["completion"], dispatch["volume"]) == (5, 6, 4)
+    completion = recorder.events[3].payload
+    assert (completion["request_id"], completion["vm_id"], completion["start"]) == (
+        "req000001", vm_id, 5,
+    )
 
 
 def test_fleet_specs_expand_groups():

@@ -1,8 +1,12 @@
 """Properties of the source tree itself."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from cloudmarket.cli import INVARIANT_ERRORS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cloudmarket"
 
@@ -64,6 +68,21 @@ def test_only_workload_imports_random():
                 found.append(path.name)
     assert list(SRC.glob("*.py")), f"no sources under {SRC}"
     assert sorted(set(found)) == ["workload.py"]
+
+
+def test_every_simulator_exception_exits_four():
+    # the CLI maps bad input to exit 2 or 3 and every other exception the
+    # package defines to exit 4; one left out would exit 1 with a traceback
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"cloudmarket.{path.stem}")
+        defined |= {
+            cls for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__ == module.__name__
+        }
+    input_errors = {cls for cls in defined if cls.__name__ in ("ParseError", "ValidationError")}
+    assert len(input_errors) == 2
+    assert defined - input_errors == set(INVARIANT_ERRORS)
 
 
 def test_bench_tracer_wraps_every_name():
