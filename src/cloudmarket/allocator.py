@@ -10,11 +10,11 @@ reserved is admitted by `admit_reserved`, which commits nothing new.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 
 from .datacenter import Block, Datacenter
 from .engine import SimEngine
-from .money import Money, ceil_div, round_half_up
+from .money import Money, ceil_div, round_ratio
 
 REJECT_DEADLINE = "DeadlineInfeasible"
 REJECT_BUDGET = "BudgetInfeasible"
@@ -72,14 +72,14 @@ Decision = Accept | Reject
 
 @dataclass(frozen=True)
 class Fixed:
-    rate: Fraction  # currency per cpu-tick of workload volume
+    rate: Rational  # currency per cpu-tick of workload volume
     kind: str = "fixed"
 
 
 @dataclass(frozen=True)
 class PeakOffPeak:
-    rate: Fraction
-    peak_multiplier: Fraction
+    rate: Rational
+    peak_multiplier: Rational
     peak_windows: tuple[tuple[int, int], ...]  # daily [start, end) tick spans
     day_length: int
     kind: str = "peak_off_peak"
@@ -87,8 +87,8 @@ class PeakOffPeak:
 
 @dataclass(frozen=True)
 class UtilizationLinear:
-    base_rate: Fraction
-    alpha: Fraction
+    base_rate: Rational
+    alpha: Rational
     kind: str = "utilization_linear"
 
 
@@ -99,18 +99,26 @@ def quote(
     policy: PricingPolicy,
     volume: int,
     submit_time: int,
-    utilization: Fraction = Fraction(0),
+    utilization: tuple[int, int] = (0, 1),
 ) -> Money:
-    """Price a request under the given policy, rounded half-up once."""
-    if isinstance(policy, Fixed):
-        exact = policy.rate * volume
-    elif isinstance(policy, PeakOffPeak):
+    """Price a request under the given policy, rounded half-up once.
+
+    `utilization` is the share (committed, capacity) of the provider's cpu.
+    """
+    if isinstance(policy, UtilizationLinear):
+        # base · volume · (1 + alpha · used / capacity)
+        base, alpha = policy.base_rate, policy.alpha
+        used, capacity = utilization
+        return round_ratio(
+            base.numerator * volume * (alpha.denominator * capacity + alpha.numerator * used),
+            base.denominator * alpha.denominator * capacity,
+        )
+    n, d = policy.rate.numerator * volume, policy.rate.denominator
+    if isinstance(policy, PeakOffPeak):
         tick = submit_time % policy.day_length
-        in_peak = any(s <= tick < e for s, e in policy.peak_windows)
-        exact = policy.rate * volume * (policy.peak_multiplier if in_peak else 1)
-    else:
-        exact = policy.base_rate * volume * (1 + policy.alpha * utilization)
-    return round_half_up(exact)
+        if any(s <= tick < e for s, e in policy.peak_windows):
+            n, d = n * policy.peak_multiplier.numerator, d * policy.peak_multiplier.denominator
+    return round_ratio(n, d)
 
 
 class SlaAllocator:

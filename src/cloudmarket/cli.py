@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .datacenter import CapacityViolation, InsufficientCapacity, UnknownVm
@@ -251,9 +250,9 @@ def cmd_compare(args) -> int:
     print(header)
     for row in rows:
         print("  ".join(f"{str(row[f]):>18}" for f in _COMPARE_FIELDS[:11]))
-    mean_delta = Fraction(sum(deltas), len(deltas))
+    mean_delta = sum(deltas) / len(deltas)
     wins = sum(1 for d in deltas if d >= 0)
-    print(f"mean revenue delta (market - baseline): {float(mean_delta):.1f} "
+    print(f"mean revenue delta (market - baseline): {mean_delta:.1f} "
           f"over {len(deltas)} seed(s), market ahead or even in {wins}")
     print(f"comparison table: {compare_path}")
     return EXIT_OK

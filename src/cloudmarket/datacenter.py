@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
 
@@ -250,11 +249,12 @@ class Datacenter:
     def committed_cpu_at(self, t: int) -> int:
         return sum(cal.usage_at(t)[0] for cal in self.calendars.values())
 
-    def utilization_at(self, t: int) -> Fraction:
+    def utilization_at(self, t: int) -> tuple[int, int]:
+        """The committed share of the fleet's cpu at t, as (committed, capacity)."""
         total = self.total_cpu_capacity
         if total == 0:
-            return Fraction(0)
-        return Fraction(self.committed_cpu_at(t), total)
+            return 0, 1
+        return self.committed_cpu_at(t), total
 
     def free_cu_ticks(self, start: int, end: int) -> int:
         """Uncommitted cpu-ticks over [start, end) across the fleet."""

@@ -85,6 +85,11 @@ class SimEngine:
     def add_observer(self, observer: Callable[[Event], None]) -> None:
         self._observers.append(observer)
 
+    def clear_handlers(self) -> None:
+        """Forget every handler, so that a handler's owner that holds this
+        engine stops being a reference cycle once its run is over."""
+        self._handlers.clear()
+
     # -- scheduling -------------------------------------------------------
 
     def schedule(

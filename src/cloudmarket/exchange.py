@@ -10,10 +10,10 @@ no less than its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 
 from .datacenter import Block, Datacenter
-from .money import Money, round_half_up
+from .money import Money, round_ratio
 from .negotiation import Sla
 
 BID = "bid"
@@ -124,7 +124,7 @@ class Order:
     unit_price: Money  # limit price per cpu-tick
     window_start: int
     window_end: int
-    request_id: str | None = None
+    request_id: str | None = None  # the request a bid procures for; asks have none
     filled: int = 0
 
     @property
@@ -143,7 +143,7 @@ class Trade:
     ask_order: int
     quantity: int
     unit_price: Money
-    request_id: str | None
+    request_id: str
 
 
 @dataclass
@@ -155,10 +155,9 @@ class ClearingResult:
     ask_quantity: int
 
     @property
-    def demand_index(self) -> Fraction:
-        if self.ask_quantity == 0:
-            return Fraction(0) if self.bid_quantity == 0 else Fraction(self.bid_quantity, 1)
-        return Fraction(self.bid_quantity, self.ask_quantity)
+    def demand_index(self) -> tuple[int, int]:
+        """Bid over ask quantity as (bids, asks); with no asks, bids over one."""
+        return self.bid_quantity, self.ask_quantity or 1
 
 
 class OrderBook:
@@ -187,6 +186,8 @@ class OrderBook:
     ) -> int:
         if side not in (BID, ASK):
             raise InvalidOrder(f"side must be bid or ask, got {side!r}")
+        if side == BID and request_id is None:
+            raise InvalidOrder("a bid must name the request it procures for")
         if quantity <= 0:
             raise InvalidOrder(f"quantity must be positive, got {quantity}")
         if unit_price < 0:
@@ -271,33 +272,38 @@ class VariablePrice:
     """base × (1 + a·utilization + b·excess demand), never below cost."""
 
     base_rate: Money
-    utilization_coefficient: Fraction
-    demand_coefficient: Fraction
+    utilization_coefficient: Rational
+    demand_coefficient: Rational
     cost_floor: Money = 0
 
 
 def provider_set_price(
     policy: VariablePrice,
-    utilization: Fraction,
-    demand_index: Fraction,
+    utilization: tuple[int, int],
+    demand_index: tuple[int, int],
 ) -> Money:
     """Posted price per cpu-tick under current market conditions.
 
-    The demand term only kicks in when bids outnumber asks (index above
-    one); slack markets fall back toward the base rate, never below the
-    cost floor.
+    `utilization` (committed, capacity) and `demand_index` (bids, asks)
+    are ratios of counts, each with a positive denominator.  The demand
+    term only kicks in when bids outnumber asks (index above one); slack
+    markets fall back toward the base rate, never below the cost floor.
     """
-    if not 0 <= utilization <= 1:
-        raise InvalidPolicy(f"utilization {utilization} outside [0, 1]")
-    if demand_index < 0:
-        raise InvalidPolicy(f"demand_index {demand_index} must be >= 0")
-    excess = max(Fraction(0), demand_index - 1)
-    exact = policy.base_rate * (
-        1
-        + policy.utilization_coefficient * utilization
-        + policy.demand_coefficient * excess
+    used, capacity = utilization
+    bids, asks = demand_index
+    if not 0 <= used <= capacity:
+        raise InvalidPolicy(f"utilization {used}/{capacity} outside [0, 1]")
+    if bids < 0:
+        raise InvalidPolicy(f"demand_index {bids}/{asks} must be >= 0")
+    # base · (1 + u_n/u_d · used/capacity + d_n/d_d · excess/asks)
+    u, d = policy.utilization_coefficient, policy.demand_coefficient
+    excess = max(0, bids - asks)
+    u_den = u.denominator * capacity
+    d_den = d.denominator * asks
+    exact_n = policy.base_rate * (
+        u_den * d_den + u.numerator * used * d_den + d.numerator * excess * u_den
     )
-    return max(policy.cost_floor, round_half_up(exact))
+    return max(policy.cost_floor, round_ratio(exact_n, u_den * d_den))
 
 
 # -- broker policy -----------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -271,7 +270,7 @@ class MetricsCollector:
         total_lateness = sum(r.lateness for r in served_recs)
         turnarounds = [r.turnaround for r in served_recs if r.turnaround is not None]
         mean_turnaround = (
-            float(Fraction(sum(turnarounds), len(turnarounds))) if turnarounds else None
+            sum(turnarounds) / len(turnarounds) if turnarounds else None
         )
         funded = _funding(ledger)
         consumer_spend = sum(
@@ -286,7 +285,7 @@ class MetricsCollector:
         )
         deadline_violations_served = sum(1 for r in served_recs if r.lateness > 0)
         mean_price = (
-            float(Fraction(self.price_sum, self.price_count))
+            self.price_sum / self.price_count
             if self.price_count else None
         )
         return RunSummary(

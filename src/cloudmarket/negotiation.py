@@ -10,10 +10,10 @@ the reservation prices overlap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from numbers import Rational
 
 from .engine import SimEngine
-from .money import Money, round_half_up
+from .money import Money, round_ratio
 
 BUYER = "buyer"
 SELLER = "seller"
@@ -42,10 +42,11 @@ class ConcessionSchedule:
     kind: str = "linear"
     exponent: int = 1
 
-    def fraction(self, progress: Fraction) -> Fraction:
+    def concession(self, done: int, total: int) -> tuple[int, int]:
+        """f(done/total) as a (numerator, denominator) pair."""
         if self.kind == "linear":
-            return progress
-        return progress ** self.exponent
+            return done, total
+        return done ** self.exponent, total ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,15 @@ class NegotiationTerms:
 
     def offer_at(self, round_index: int, effective_rounds: int) -> Money:
         """Price this side puts on the table at the given round (1-based)."""
+        # progress is (round_index - 1) / (effective_rounds - 1), capped at 1;
+        # a single round offers the reservation price at once
         if effective_rounds <= 1:
-            progress = Fraction(1)
+            done, steps = 1, 1
         else:
-            progress = Fraction(round_index - 1, effective_rounds - 1)
-        progress = min(progress, Fraction(1))
-        concession = self.schedule.fraction(progress)
-        exact = self.opening + concession * (self.reservation - self.opening)
-        return round_half_up(exact)
+            steps = effective_rounds - 1
+            done = min(round_index - 1, steps)
+        n, d = self.schedule.concession(done, steps)
+        return round_ratio(self.opening * d + n * (self.reservation - self.opening), d)
 
 
 @dataclass(frozen=True)
@@ -208,13 +210,13 @@ def negotiate_price(
 class PenaltySchedule:
     """Linear lateness penalty: rate per tick late, optionally capped."""
 
-    rate: Fraction
+    rate: Rational
     cap: Money | None = None
 
     def penalty_for(self, ticks_late: int) -> Money:
         if ticks_late <= 0:
             return 0
-        amount = round_half_up(self.rate * ticks_late)
+        amount = round_ratio(self.rate.numerator * ticks_late, self.rate.denominator)
         if self.cap is not None:
             amount = min(amount, self.cap)
         return amount

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import cached_property, partial
 
 from .allocator import Accept, ServiceRequest, SlaAllocator
@@ -32,7 +31,7 @@ from .exchange import (
     settle_sla,
 )
 from .metrics import MetricsCollector, RunSummary
-from .money import Money, round_half_up
+from .money import Money, ratio_str, round_ratio
 from .negotiation import (
     Agreement,
     BUYER,
@@ -143,7 +142,10 @@ class _Run:
         # ties by id
         ranked = [b.broker_id for b in sorted(
             scenario.brokers,
-            key=lambda b: (round_half_up(b.margin_rate * 10**6), b.broker_id),
+            key=lambda b: (
+                round_ratio(b.margin_rate.numerator * 10**6, b.margin_rate.denominator),
+                b.broker_id,
+            ),
         )]
         self.broker_shortlist = {c.consumer_id: ranked[:c.top_k] for c in scenario.consumers}
         # the summed budgets of each consumer's requests still in flight;
@@ -170,11 +172,12 @@ class _Run:
 
         self.book = OrderBook()
         self.reservations = ReservationBook()
-        self.demand_index = Fraction(1)
+        # bid over ask quantity at the last clearing that saw orders
+        self.demand_index = (1, 1)
         self.last_clearing_price: Money | None = None
         # provider_id -> its posted price per cpu-tick, reposted each cycle
         self.posted_price: dict[str, Money] = {
-            provider_id: provider_set_price(prov.spec.market, Fraction(0), Fraction(1))
+            provider_id: provider_set_price(prov.spec.market, (0, 1), (1, 1))
             for provider_id, prov in self.providers.items()
         }
 
@@ -303,7 +306,7 @@ class _Run:
         for provider_id, prov in self.providers.items():
             denom = prov.datacenter.total_cpu_capacity * span
             utilization[provider_id] = (
-                float(Fraction(self.delivered_cu[provider_id], denom)) if denom else 0.0
+                self.delivered_cu[provider_id] / denom if denom else 0.0
             )
         summary = self.collector.summary(
             scenario=self.scenario.name,
@@ -393,12 +396,13 @@ class _MarketRun(_Run):
         request = self.requests_by_id[p["request_id"]]
         self._commit_budget(request, self.engine.clock)
         broker_id = self.assign_broker(request)
+        margin_rate = self.broker_specs[broker_id].margin_rate
         # what the broker bids on is fixed for the request's life
         self.pending[request.request_id] = (broker_id, BrokerRequestView(
             request_id=request.request_id,
             willingness=request.qos.budget,
             quantity=self._needed_quantity(request, self.max_boot),
-            margin=round_half_up(self.broker_specs[broker_id].margin_rate * request.qos.budget),
+            margin=round_ratio(margin_rate.numerator * request.qos.budget, margin_rate.denominator),
         ))
 
     # -- one trading cycle ---------------------------------------------------
@@ -441,6 +445,7 @@ class _MarketRun(_Run):
                 del self.pending[request_id]
 
     def _post_provider_prices(self, now: int) -> None:
+        demand_index = ratio_str(*self.demand_index)
         for provider_id in sorted(self.providers):
             prov = self.providers[provider_id]
             price = provider_set_price(
@@ -451,7 +456,7 @@ class _MarketRun(_Run):
             self.posted_price[provider_id] = price
             self.engine.emit("posted_price", {
                 "provider": provider_id, "price": price,
-                "demand_index": str(self.demand_index),
+                "demand_index": demand_index,
             })
 
     def _submit_asks(self, now: int, window: tuple[int, int]) -> int:
@@ -703,11 +708,15 @@ def run_scenario(
         raise ValueError(f"unknown mode {mode!r}")
     run.start()
     run.schedule_requests(requests)
+    summary = run.finish()
+    # the handlers are the run's bound methods, and the run holds the
+    # engine: dropping them lets reference counting free the finished run
+    run.engine.clear_handlers()
     return RunResult(
         scenario=scenario,
         seed=seed,
         mode=mode,
-        summary=run.finish(),
+        summary=summary,
         collector=run.collector,
         ledger=run.ledger,
         trace=run.trace,

@@ -22,7 +22,7 @@ from .allocator import (
     Fixed, PeakOffPeak, PricingPolicy, QosSpec, ServiceRequest, UtilizationLinear,
 )
 from .exchange import VariablePrice
-from .money import Money, as_fraction, ceil_div, frac_str, round_half_up
+from .money import Money, as_fraction, ceil_div, frac_str, limit_ratio, round_ratio
 from .negotiation import ConcessionSchedule, PenaltySchedule
 
 FORMAT_VERSION = 1
@@ -761,6 +761,7 @@ def generate_requests(scenario: Scenario, master_seed: int) -> list[ServiceReque
         rng["consumer"],
     )
     boot_allowance = scenario.max_boot_delay()
+    rate_n, rate_d = w.reference_rate.numerator, w.reference_rate.denominator
     requests: list[ServiceRequest] = []
     index = 0
     while True:
@@ -780,10 +781,10 @@ def generate_requests(scenario: Scenario, master_seed: int) -> list[ServiceReque
         consumer = draw_consumer()
         ideal_runtime = ceil_div(volume, cpu_need)
         deadline = submit + boot_allowance + int(ceil(slack * ideal_runtime))
-        budget = round_half_up(
-            Fraction(budget_factor).limit_denominator(10**6)
-            * w.reference_rate * volume
-        )
+        # the factor's nearest ratio with a denominator up to 10**6, times
+        # the reference rate and the volume
+        factor_n, factor_d = limit_ratio(*budget_factor.as_integer_ratio(), 10**6)
+        budget = round_ratio(factor_n * rate_n * volume, factor_d * rate_d)
         requests.append(ServiceRequest(
             request_id=f"req{index:06d}",
             consumer_id=consumer,

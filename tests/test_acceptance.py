@@ -242,8 +242,9 @@ def test_criterion_04_auction_matches_brute_force(verdict):
                     for _ in range(rng.randint(0, 5))]
             book = OrderBook()
             limits = {}  # clearing purges filled orders, so snapshot first
-            for price, qty in bids:
-                limits[book.submit("bid", "b", qty, price, *window, at=0)] = price
+            for i, (price, qty) in enumerate(bids):
+                order_id = book.submit("bid", "b", qty, price, *window, at=0, request_id=f"req{i}")
+                limits[order_id] = price
             for price, qty in asks:
                 limits[book.submit("ask", "s", qty, price, *window, at=0)] = price
             result = book.clear(at=5)

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from cloudmarket.allocator import (
     Accept,
     Fixed,
@@ -19,6 +21,7 @@ from cloudmarket.allocator import (
 )
 from cloudmarket.datacenter import Block, Datacenter, MachineCalendar
 from cloudmarket.engine import SimEngine, TraceRecorder
+from cloudmarket.money import round_half_up
 
 
 def make_allocator(specs, rate=1, boot_delay=0):
@@ -59,21 +62,73 @@ def test_idle_utilization_pricing_equals_fixed():
     linear = UtilizationLinear(base_rate=Fraction(100), alpha=Fraction(1, 2))
     fixed = Fixed(rate=Fraction(100))
     for volume in (1, 7, 50):
-        assert quote(linear, volume, 0, utilization=Fraction(0)) == quote(
+        assert quote(linear, volume, 0, utilization=(0, 1)) == quote(
             fixed, volume, 0
         )
 
 
 def test_utilization_pricing_scales_linearly():
     linear = UtilizationLinear(base_rate=Fraction(100), alpha=Fraction(1, 2))
-    assert quote(linear, 10, 0, utilization=Fraction(1)) == 1_500
-    assert quote(linear, 10, 0, utilization=Fraction(1, 2)) == 1_250
+    assert quote(linear, 10, 0, utilization=(4, 4)) == 1_500
+    assert quote(linear, 10, 0, utilization=(1, 2)) == 1_250
 
 
 def test_quote_rounds_half_up_once():
     # 3 * 7 * (1 + 1/3 * 1/2) = 24.5 -> 25
     linear = UtilizationLinear(base_rate=Fraction(3), alpha=Fraction(1, 3))
-    assert quote(linear, 7, 0, utilization=Fraction(1, 2)) == 25
+    assert quote(linear, 7, 0, utilization=(3, 6)) == 25
+
+
+rates = st.fractions(min_value=0, max_value=10**4, max_denominator=10**6)
+
+
+@st.composite
+def utilizations(draw):
+    capacity = draw(st.integers(min_value=1, max_value=10**4))
+    return draw(st.integers(min_value=0, max_value=capacity)), capacity
+
+
+@st.composite
+def pricing_policies(draw):
+    kind = draw(st.sampled_from(["fixed", "peak_off_peak", "utilization_linear"]))
+    if kind == "fixed":
+        return Fixed(rate=draw(rates))
+    if kind == "utilization_linear":
+        return UtilizationLinear(base_rate=draw(rates), alpha=draw(rates))
+    day_length = draw(st.integers(min_value=1, max_value=200))
+    bounds = st.integers(min_value=0, max_value=day_length)
+    windows = tuple(sorted(tuple(sorted(w)) for w in draw(
+        st.lists(st.tuples(bounds, bounds), max_size=3)
+    )))
+    return PeakOffPeak(
+        rate=draw(rates), peak_multiplier=draw(rates),
+        peak_windows=windows, day_length=day_length,
+    )
+
+
+def reference_quote(policy, volume, submit_time, utilization):
+    """The quote as exact rational arithmetic, rounded half-up once."""
+    if isinstance(policy, Fixed):
+        return round_half_up(policy.rate * volume)
+    if isinstance(policy, PeakOffPeak):
+        tick = submit_time % policy.day_length
+        in_peak = any(s <= tick < e for s, e in policy.peak_windows)
+        return round_half_up(policy.rate * volume * (policy.peak_multiplier if in_peak else 1))
+    share = Fraction(*utilization)
+    return round_half_up(policy.base_rate * volume * (1 + policy.alpha * share))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    policy=pricing_policies(),
+    volume=st.integers(min_value=0, max_value=10**6),
+    submit_time=st.integers(min_value=0, max_value=10**5),
+    utilization=utilizations(),
+)
+def test_quote_matches_the_rational_formula(policy, volume, submit_time, utilization):
+    assert quote(policy, volume, submit_time, utilization) == reference_quote(
+        policy, volume, submit_time, utilization,
+    )
 
 
 # -- admission ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cloudmarket.datacenter import CapacityViolation, Datacenter
 from cloudmarket.engine import SimEngine
@@ -27,6 +28,7 @@ from cloudmarket.exchange import (
     provider_set_price,
     settle_sla,
 )
+from cloudmarket.money import round_half_up
 from cloudmarket.negotiation import PenaltySchedule, Sla
 
 
@@ -86,11 +88,14 @@ def test_zero_and_negative_transfers_are_refused():
 
 
 def submit_book(entries, at=0, window=(10, 20)):
-    """entries: (side, actor, qty, price) tuples."""
+    """entries: (side, actor, qty, price) tuples; each bid names its own request."""
     book = OrderBook()
     ids = [
-        book.submit(side, actor, qty, price, window[0], window[1], at=at)
-        for side, actor, qty, price in entries
+        book.submit(
+            side, actor, qty, price, window[0], window[1], at=at,
+            request_id=f"req{i:06d}" if side == BID else None,
+        )
+        for i, (side, actor, qty, price) in enumerate(entries)
     ]
     return book, ids
 
@@ -104,13 +109,29 @@ def test_submitted_bid_rests_in_the_book():
 def test_zero_quantity_is_invalid():
     book = OrderBook()
     with pytest.raises(InvalidOrder):
-        book.submit(BID, "broker-a", 0, 9, 10, 20, at=0)
+        book.submit(BID, "broker-a", 0, 9, 10, 20, at=0, request_id="req000001")
 
 
 def test_window_must_lie_ahead():
     book = OrderBook()
     with pytest.raises(InvalidOrder):
-        book.submit(BID, "broker-a", 1, 9, 3, 8, at=5)
+        book.submit(BID, "broker-a", 1, 9, 3, 8, at=5, request_id="req000001")
+
+
+def test_bid_without_a_request_is_invalid():
+    book = OrderBook()
+    with pytest.raises(InvalidOrder, match="request"):
+        book.submit(BID, "broker-a", 1, 9, 10, 20, at=0)
+    book.submit(ASK, "seller-a", 1, 9, 10, 20, at=0)
+    assert [o.request_id for o in book.orders.values()] == [None]
+
+
+def test_trades_carry_the_request_of_their_bid():
+    book, _ = submit_book([(BID, "b1", 2, 10), (BID, "b2", 2, 9), (ASK, "s1", 4, 5)])
+    result = book.clear(at=1)
+    assert [(t.buyer, t.request_id) for t in result.trades] == [
+        ("b1", "req000000"), ("b2", "req000001"),
+    ]
 
 
 def test_textbook_clearing():
@@ -138,12 +159,12 @@ def test_empty_book_clears_to_nothing():
     result = book.clear(at=0)
     assert result.trades == []
     assert result.bid_quantity == result.ask_quantity == 0
-    assert result.demand_index == 0
+    assert result.demand_index == (0, 1)
 
 
 def test_windows_clear_independently():
     book = OrderBook()
-    book.submit(BID, "b1", 1, 10, 10, 20, at=0)
+    book.submit(BID, "b1", 1, 10, 10, 20, at=0, request_id="req000001")
     book.submit(ASK, "s1", 1, 2, 30, 40, at=0)  # different goods
     result = book.clear(at=1)
     assert result.trades == []
@@ -191,8 +212,8 @@ def test_clearing_volume_matches_brute_force():
         asks = [(rng.randint(1, 12), rng.randint(1, 4)) for _ in range(rng.randint(0, 5))]
         book = OrderBook()
         limits = {}
-        for price, qty in bids:
-            oid = book.submit(BID, "b", qty, price, 10, 20, at=0)
+        for i, (price, qty) in enumerate(bids):
+            oid = book.submit(BID, "b", qty, price, 10, 20, at=0, request_id=f"req{i:06d}")
             limits[oid] = price
         for price, qty in asks:
             oid = book.submit(ASK, "s", qty, price, 10, 20, at=0)
@@ -212,7 +233,7 @@ def test_demand_index_reflects_book_imbalance():
         (BID, "b1", 6, 10), (BID, "b2", 2, 9), (ASK, "s1", 4, 5),
     ])
     result = book.clear(at=1)
-    assert result.demand_index == Fraction(8, 4)
+    assert result.demand_index == (8, 4)
 
 
 # -- provider pricing and venue choice ---------------------------------------------------
@@ -224,7 +245,7 @@ def test_fixed_price_never_drops_below_floor():
         base_rate=3, utilization_coefficient=Fraction(0),
         demand_coefficient=Fraction(0), cost_floor=5,
     )
-    assert provider_set_price(policy, Fraction(1), Fraction(3)) == 5
+    assert provider_set_price(policy, (1, 1), (3, 1)) == 5
 
 
 def test_neutral_market_charges_base_rate():
@@ -232,7 +253,7 @@ def test_neutral_market_charges_base_rate():
         base_rate=100, utilization_coefficient=Fraction(1, 2),
         demand_coefficient=Fraction(1, 4), cost_floor=1,
     )
-    assert provider_set_price(policy, Fraction(0), Fraction(1)) == 100
+    assert provider_set_price(policy, (0, 1), (1, 1)) == 100
 
 
 def test_full_utilization_marks_up_by_alpha():
@@ -240,7 +261,7 @@ def test_full_utilization_marks_up_by_alpha():
         base_rate=100, utilization_coefficient=Fraction(1, 2),
         demand_coefficient=Fraction(1, 4), cost_floor=1,
     )
-    assert provider_set_price(policy, Fraction(1), Fraction(1)) == 150
+    assert provider_set_price(policy, (1, 1), (1, 1)) == 150
 
 
 def test_excess_demand_raises_the_price():
@@ -249,7 +270,7 @@ def test_excess_demand_raises_the_price():
         demand_coefficient=Fraction(1, 4), cost_floor=1,
     )
     # demand index 3 -> excess 2 -> 100 * (1 + 0 + 1/2)
-    assert provider_set_price(policy, Fraction(0), Fraction(3)) == 150
+    assert provider_set_price(policy, (0, 1), (3, 1)) == 150
 
 
 def test_slack_demand_never_discounts_below_base():
@@ -257,7 +278,7 @@ def test_slack_demand_never_discounts_below_base():
         base_rate=100, utilization_coefficient=Fraction(0),
         demand_coefficient=Fraction(1), cost_floor=1,
     )
-    assert provider_set_price(policy, Fraction(0), Fraction(1, 2)) == 100
+    assert provider_set_price(policy, (0, 1), (1, 2)) == 100
 
 
 def test_price_respects_the_floor_everywhere():
@@ -271,8 +292,8 @@ def test_price_respects_the_floor_everywhere():
         )
         price = provider_set_price(
             policy,
-            Fraction(rng.randint(0, 8), 8),
-            Fraction(rng.randint(0, 30), 10),
+            (rng.randint(0, 8), 8),
+            (rng.randint(0, 30), 10),
         )
         assert price >= policy.cost_floor
 
@@ -283,7 +304,44 @@ def test_utilization_outside_unit_interval_is_invalid():
         demand_coefficient=Fraction(0),
     )
     with pytest.raises(InvalidPolicy):
-        provider_set_price(policy, Fraction(3, 2), Fraction(1))
+        provider_set_price(policy, (3, 2), (1, 1))
+
+
+def reference_set_price(policy, utilization, demand_index):
+    """The posted price as exact rational arithmetic, rounded half-up once."""
+    excess = max(Fraction(0), Fraction(*demand_index) - 1)
+    exact = policy.base_rate * (
+        1
+        + policy.utilization_coefficient * Fraction(*utilization)
+        + policy.demand_coefficient * excess
+    )
+    return max(policy.cost_floor, round_half_up(exact))
+
+
+@st.composite
+def ratios(draw, max_value):
+    """(numerator, denominator) with 0 <= numerator/denominator <= max_value."""
+    denominator = draw(st.integers(min_value=1, max_value=10**4))
+    return draw(st.integers(min_value=0, max_value=max_value * denominator)), denominator
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    base_rate=st.integers(min_value=0, max_value=10**6),
+    utilization_coefficient=st.fractions(min_value=0, max_value=10, max_denominator=10**6),
+    demand_coefficient=st.fractions(min_value=0, max_value=10, max_denominator=10**6),
+    cost_floor=st.integers(min_value=0, max_value=10**6),
+    utilization=ratios(max_value=1),
+    demand_index=ratios(max_value=50),
+)
+def test_set_price_matches_the_rational_formula(
+    base_rate, utilization_coefficient, demand_coefficient, cost_floor,
+    utilization, demand_index,
+):
+    policy = VariablePrice(base_rate, utilization_coefficient, demand_coefficient, cost_floor)
+    assert provider_set_price(policy, utilization, demand_index) == reference_set_price(
+        policy, utilization, demand_index,
+    )
 
 
 # -- broker policy ---------------------------------------------------------------------

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cloudmarket.money import as_fraction, ceil_div, frac_str, round_half_up
+from cloudmarket.money import (
+    as_fraction, ceil_div, frac_str, limit_ratio, ratio_str, round_half_up, round_ratio,
+)
 
 
 def test_round_half_up_at_the_boundary():
@@ -44,3 +46,41 @@ def test_as_fraction_parses_ratio_strings():
 def test_frac_str_round_trips():
     for f in (Fraction(1, 2), Fraction(5), Fraction(-7, 3)):
         assert as_fraction(frac_str(f)) == f
+
+
+@given(st.integers(min_value=-10**12, max_value=10**12), st.integers(min_value=1, max_value=10**6))
+def test_round_ratio_matches_round_half_up(n, d):
+    assert round_ratio(n, d) == round_half_up(Fraction(n, d))
+    # the pair need not be in lowest terms
+    assert round_ratio(3 * n, 3 * d) == round_ratio(n, d)
+
+
+@settings(max_examples=2_000, derandomize=True, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-1.7976931348623157e308)
+@example(0.5 + 1e-7)
+@example(1 / 3)
+def test_limit_ratio_matches_limit_denominator(x):
+    expected = Fraction(x).limit_denominator(10**6)
+    assert limit_ratio(*x.as_integer_ratio(), 10**6) == (expected.numerator, expected.denominator)
+
+
+@given(
+    st.integers(min_value=-10**9, max_value=10**9),
+    st.integers(min_value=1, max_value=10**9),
+    st.integers(min_value=1, max_value=50),
+)
+@example(1, 2, 1)  # midway between 0 and 1: the floor is kept
+@example(-3, 2, 1)
+def test_limit_ratio_matches_limit_denominator_on_small_bounds(n, d, max_d):
+    # tie-prone ratios, not in lowest terms, under small denominators
+    expected = Fraction(n, d).limit_denominator(max_d)
+    assert limit_ratio(n, d, max_d) == (expected.numerator, expected.denominator)
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=10**6))
+def test_ratio_str_renders_as_fraction_does(n, d):
+    assert ratio_str(n, d) == str(Fraction(n, d))

@@ -18,6 +18,7 @@ from cloudmarket.negotiation import (
     SessionTerminated,
     negotiate_price,
 )
+from cloudmarket.money import round_half_up
 
 
 def buyer_terms(opening, reservation, rounds, schedule=None, **kwargs):
@@ -115,6 +116,56 @@ def test_offer_sequence_follows_the_concession_formula():
         expected = terms.opening + progress * (terms.reservation - terms.opening)
         n, d = expected.numerator, expected.denominator
         assert offer.price == (2 * n + d) // (2 * d)
+
+
+def reference_offer(terms, round_index, effective_rounds):
+    """The offer as exact rational arithmetic, rounded half-up once."""
+    if effective_rounds <= 1:
+        progress = Fraction(1)
+    else:
+        progress = min(Fraction(round_index - 1, effective_rounds - 1), Fraction(1))
+    if terms.schedule.kind == "poly":
+        progress **= terms.schedule.exponent
+    return round_half_up(terms.opening + progress * (terms.reservation - terms.opening))
+
+
+@st.composite
+def offer_cases(draw):
+    role = draw(st.sampled_from([BUYER, SELLER]))
+    low = draw(st.integers(min_value=0, max_value=10**9))
+    high = draw(st.integers(min_value=low, max_value=10**9))
+    schedule = draw(st.one_of(
+        st.just(ConcessionSchedule()),
+        st.integers(min_value=1, max_value=6).map(lambda e: ConcessionSchedule("poly", e)),
+    ))
+    opening, reservation = (low, high) if role == BUYER else (high, low)
+    max_rounds = draw(st.integers(min_value=0, max_value=40))
+    terms = NegotiationTerms(role, opening, reservation, max_rounds, schedule)
+    effective_rounds = draw(st.integers(min_value=0, max_value=40))
+    round_index = draw(st.integers(min_value=1, max_value=effective_rounds + 2))
+    return terms, round_index, effective_rounds
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(offer_cases())
+def test_offer_matches_the_rational_formula(case):
+    terms, round_index, effective_rounds = case
+    assert terms.offer_at(round_index, effective_rounds) == reference_offer(
+        terms, round_index, effective_rounds,
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    rate=st.fractions(min_value=0, max_value=10**4, max_denominator=10**6),
+    cap=st.none() | st.integers(min_value=0, max_value=10**9),
+    ticks_late=st.integers(min_value=-10, max_value=10**6),
+)
+def test_penalty_matches_the_rational_formula(rate, cap, ticks_late):
+    expected = 0 if ticks_late <= 0 else round_half_up(rate * ticks_late)
+    if cap is not None:
+        expected = min(expected, cap)
+    assert PenaltySchedule(rate, cap).penalty_for(ticks_late) == expected
 
 
 def test_polynomial_concession_holds_back_early():

@@ -1,6 +1,8 @@
 """End-to-end runs: determinism, conservation, and accounting identities."""
 
+import gc
 import hashlib
+import weakref
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -404,3 +406,65 @@ def test_served_requests_go_to_the_shortlisted_brokers():
         chosen = shortlist[consumer_of[p["request_id"]]]
         assert p["broker"] == chosen[int(p["request_id"][3:]) % len(chosen)], p
     assert {p["broker"] for p in served} == set(ranked)
+
+
+def test_a_finished_run_is_freed_without_the_cyclic_collector(monkeypatch):
+    # the engine's handlers are the run's bound methods and the run holds
+    # the engine; once the run is over nothing may keep that cycle, or
+    # every run of a sweep waits for a full collection
+    engines = []
+
+    class RecordedEngine(simulation.SimEngine):
+        def __init__(self):
+            super().__init__()
+            engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(simulation, "SimEngine", RecordedEngine)
+    scenario = load("smoke.yaml")
+    gc.collect()
+    gc.disable()
+    try:
+        for mode in ("market", "system_centric"):
+            result = run_scenario(scenario, seed=11, mode=mode)
+            trace = weakref.ref(result.trace)
+            del result
+            assert engines[-1]() is None, mode
+            assert trace() is None, mode
+    finally:
+        gc.enable()
+    assert len(engines) == 2
+
+
+@pytest.mark.parametrize("name", [
+    "smoke.yaml", "two_class.yaml", "util_pricing.yaml", "example.yaml",
+])
+def test_no_fraction_is_built_while_a_run_runs(name, monkeypatch):
+    # a run computes budgets, margins, quotes, offers, penalties and posted
+    # prices from integer (numerator, denominator) pairs; only validation
+    # builds Fractions, and they cost a tenth of a market run when built
+    # per request or per cycle
+    scenario = load(name)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        # newer Pythons build arithmetic results without __new__
+        from_coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_from_coprime(cls, numerator, denominator):
+            built.append((numerator, denominator))
+            return from_coprime(cls, numerator, denominator)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_from_coprime))
+    # the counter sees both a construction and an arithmetic result
+    Fraction(1, 2) * 3
+    assert len(built) >= 2
+    built.clear()
+    for mode in ("market", "system_centric"):
+        run_scenario(scenario, seed=42, mode=mode)
+    assert len(built) == 0, built[:5]

@@ -51,23 +51,45 @@ def test_scenario_policies_are_built_only_by_validation():
     assert found == []
 
 
+def imported_packages(path):
+    """(line, top-level package) for every import statement in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        for module in modules:
+            yield node.lineno, module.split(".")[0]
+
+
 def test_only_workload_imports_random():
     # request generation seeds every stream from (master_seed, stream
     # name); a generator seeded anywhere else would escape that seeding
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(m.split(".")[0] == "random" for m in modules):
-                found.append(path.name)
+    found = [
+        path.name for path in sorted(SRC.glob("*.py"))
+        for _, package in imported_packages(path) if package == "random"
+    ]
     assert list(SRC.glob("*.py")), f"no sources under {SRC}"
     assert sorted(set(found)) == ["workload.py"]
+
+
+def test_run_path_modules_do_not_import_fractions():
+    # a run computes every amount from integer (numerator, denominator)
+    # pairs; validated scenario rationals are Fractions built by
+    # `workload`, and the run reads only their numerator and denominator
+    run_path = {
+        "engine.py", "datacenter.py", "allocator.py", "exchange.py",
+        "negotiation.py", "simulation.py", "metrics.py",
+    }
+    assert run_path <= {path.name for path in SRC.glob("*.py")}
+    found = [
+        f"{name}:{line}" for name in sorted(run_path)
+        for line, package in imported_packages(SRC / name) if package == "fractions"
+    ]
+    assert found == []
 
 
 def test_every_simulator_exception_exits_four():
