@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .datacenter import CapacityViolation, InsufficientCapacity, UnknownVm
-from .engine import SchedulingInPast
+from .engine import SchedulingInPast, TraceStreamed
 from .exchange import (
     AlreadySettled, ConservationError, InsufficientFunds, InvalidOrder, InvalidPolicy,
     UnknownAccount,
@@ -50,6 +50,7 @@ INVARIANT_ERRORS = (
     UnknownAccount, InsufficientFunds, AlreadySettled, InvalidOrder,
     InvalidPolicy, ConservationError, CrossCheckFailure, OutOfOrderEvent,
     InvalidTerms, SessionTerminated, UnexpectedCompletion, UnexpectedFill,
+    TraceStreamed,
 )
 
 
@@ -115,30 +116,41 @@ def _config_echo(args, seed: int) -> dict:
     }
 
 
-def _write_artifacts(out: Path, args, result: RunResult) -> list[Path]:
+def _run_seed(out: Path, args, scenario: Scenario, seed: int) -> RunResult:
+    """Run one seed, writing its trace file while the events fire.
+
+    The file is written under a temporary name and renamed once the run
+    has passed its cross-check, so a failed run leaves no trace file.
+    With the trace off the lines go to the null device, so the run still
+    holds one chunk of its log at most and the digest is the same.
+    """
+    if args.trace == "off":
+        with open(os.devnull, "wb") as sink:
+            return run_scenario(scenario, seed, trace_sink=sink)
+    path = out / f"trace_seed{seed}.log"
+    partial = path.with_name(f"{path.name}.partial")
+    try:
+        with partial.open("wb") as sink:
+            result = run_scenario(scenario, seed, trace_sink=sink)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(path)
+    return result
+
+
+def _write_artifacts(out: Path, args, result: RunResult) -> None:
     seed = result.seed
-    paths = []
-
-    # one rendering pass writes the trace file and leaves the digest that
-    # the summary and the report line then read
-    if args.trace == "on":
-        trace_path = out / f"trace_seed{seed}.log"
-        with trace_path.open("wb") as sink:
-            result.trace.digest(sink)
-        paths.append(trace_path)
-
     summary_path = out / f"summary_seed{seed}.json"
     payload = {"config": _config_echo(args, seed)}
     payload.update(result.summary.to_dict())
     summary_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    paths.append(summary_path)
 
     metrics_path = out / f"metrics_seed{seed}.csv"
     with metrics_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.DictWriter(handle, fieldnames=REQUEST_CSV_FIELDS)
         writer.writeheader()
         writer.writerows(result.collector.iter_request_rows())
-    paths.append(metrics_path)
 
     journal_path = out / f"journal_seed{seed}.csv"
     with journal_path.open("w", newline="", encoding="utf-8") as handle:
@@ -146,8 +158,6 @@ def _write_artifacts(out: Path, args, result: RunResult) -> list[Path]:
         writer.writerow(["seq", "at", "debit", "credit", "amount", "memo"])
         for e in result.ledger.journal:
             writer.writerow([e.seq, e.at, e.debit, e.credit, e.amount, e.memo])
-    paths.append(journal_path)
-    return paths
 
 
 _AGGREGATE_FIELDS = [
@@ -187,7 +197,7 @@ def cmd_run(args) -> int:
     seeds = _seeds(args, scenario)
     rows = []
     for seed in seeds:
-        result = run_scenario(scenario, seed)
+        result = _run_seed(out, args, scenario, seed)
         _write_artifacts(out, args, result)
         rows.append(_aggregate_row(result))
         print(report(result.summary))

@@ -6,6 +6,11 @@ runs on top of this loop. The loop draws no random numbers: the only
 randomness is the request trace, which `workload.generate_requests`
 seeds from (scenario, master_seed), so a run is a pure function of the
 two.
+
+The trace is the run's record of every fired event. Given a sink, the
+recorder writes it there a chunk at a time while the run fires and
+drops what it has written, so a run never holds more than one chunk of
+its log; without one it keeps the whole log in memory for its readers.
 """
 
 from __future__ import annotations
@@ -22,6 +27,11 @@ SimTime = int
 
 class SchedulingInPast(Exception):
     """fire_at is earlier than the current clock."""
+
+
+class TraceStreamed(Exception):
+    """A recorder that streams to a sink was asked for its whole log, or
+    given an event after its digest."""
 
 
 @dataclass(slots=True)
@@ -136,47 +146,116 @@ class SimEngine:
         return len(self._queue)
 
 
-# trace lines joined, encoded and hashed at a time: enough to amortize
-# the per-chunk calls, few enough that no whole-trace string is held
+# trace lines joined, encoded, hashed and written at a time: enough to
+# amortize the per-chunk calls, few enough that a streamed run holds
+# little of its log
 _CHUNK_LINES = 4096
 
 
 class TraceRecorder:
     """The run's one event log: every fired event, in firing order.
 
-    The cross-check and the trace file read this list.  `lines()`
-    renders it lazily as the trace file's lines.  `digest()` is the
-    sha256 of those lines joined by newlines, rendered, encoded and
-    hashed a chunk at a time; given a binary sink it also writes each
-    chunk there, plus the file's final newline, so one pass yields both
-    the file and its digest.  The digest is kept until the log grows.
+    The trace file's lines are the rendered events, joined by newlines
+    and ended by one; its digest is the sha256 of the lines joined.
+
+    Without a sink the recorder keeps every event: `events` and
+    `lines()` give the whole log, and `digest()` renders it on first
+    read, a chunk at a time, keeping the digest until the log grows.
     A run that reads neither renders nothing.
+
+    With a binary sink the recorder streams instead. Each time
+    `_CHUNK_LINES` events are held it hands them to `on_chunk`, renders,
+    hashes and writes them, and drops them. `digest()` writes what is
+    still held and the final newline, keeps the digest and closes the
+    log. Such a recorder has no whole log to give out, so `events` and
+    `lines()` raise, as does recording after the digest; `held` is the
+    part not yet written.
     """
 
-    def __init__(self) -> None:
-        self.events: list[Event] = []
+    def __init__(
+        self,
+        sink: BinaryIO | None = None,
+        on_chunk: Callable[[list[Event]], None] | None = None,
+    ) -> None:
+        self._sink = sink
+        self._on_chunk = on_chunk
+        self._held: list[Event] = []
+        self._written = 0  # events rendered to the sink and dropped
+        self._sha = hashlib.sha256()  # of what the sink was given, less its final newline
         self._digest: tuple[int, str] | None = None  # (events rendered, sha256)
+        # a recorder without a sink only appends: the same work per event as
+        # a list.  The bound `_stream` is a reference cycle until the digest
+        # replaces it, so a finished streamed run is freed by reference counting
+        self._record = self._held.append if sink is None else self._stream
 
     def __call__(self, event: Event) -> None:
-        self.events.append(event)
+        self._record(event)
+
+    @property
+    def count(self) -> int:
+        """Events recorded so far, written or held."""
+        return self._written + len(self._held)
+
+    @property
+    def held(self) -> list[Event]:
+        """The events not yet written: the whole log without a sink."""
+        return self._held
+
+    @property
+    def events(self) -> list[Event]:
+        if self._sink is not None:
+            raise TraceStreamed(
+                f"the trace streams to its sink and holds {len(self._held)} of "
+                f"{self.count} events; it has no whole log to give out"
+            )
+        return self._held
 
     def lines(self) -> Iterator[str]:
         return map(trace_line, self.events)
 
-    def digest(self, sink: BinaryIO | None = None) -> str:
-        # the log only grows, so its length says whether the digest is stale
-        if sink is None and self._digest is not None and self._digest[0] == len(self.events):
+    def digest(self) -> str:
+        if self._sink is not None:
+            if self._digest is None:
+                self._write(self._held)
+                self._held = []
+                self._sink.write(b"\n")
+                self._digest = (self._written, self._sha.hexdigest())
+                self._record = _refuse_after_digest
             return self._digest[1]
-        sha = hashlib.sha256()
-        lines = self.lines()
-        separator = b""
-        while chunk := list(islice(lines, _CHUNK_LINES)):
-            data = separator + "\n".join(chunk).encode("utf-8")
-            separator = b"\n"
-            sha.update(data)
-            if sink is not None:
-                sink.write(data)
-        if sink is not None:
-            sink.write(b"\n")
-        self._digest = (len(self.events), sha.hexdigest())
+        # the log only grows, so its length says whether the digest is stale
+        if self._digest is None or self._digest[0] != len(self._held):
+            sha = hashlib.sha256()
+            lines = self.lines()
+            separator = b""
+            while chunk := list(islice(lines, _CHUNK_LINES)):
+                sha.update(separator + "\n".join(chunk).encode("utf-8"))
+                separator = b"\n"
+            self._digest = (len(self._held), sha.hexdigest())
         return self._digest[1]
+
+    # -- streaming ----------------------------------------------------------
+
+    def _stream(self, event: Event) -> None:
+        held = self._held
+        held.append(event)
+        if len(held) >= _CHUNK_LINES:
+            chunk, self._held = held, []
+            if self._on_chunk is not None:
+                self._on_chunk(chunk)
+            self._write(chunk)
+
+    def _write(self, events: list[Event]) -> None:
+        if not events:
+            return
+        data = "\n".join(map(trace_line, events)).encode("utf-8")
+        if self._written:
+            data = b"\n" + data
+        self._sha.update(data)
+        self._sink.write(data)
+        self._written += len(events)
+
+
+def _refuse_after_digest(event: Event) -> None:
+    raise TraceStreamed(
+        f"{event.kind} (seq {event.seq}) recorded after the trace digest was taken"
+    )

@@ -2,10 +2,13 @@
 
 The collector ingests the event stream in time order and keeps
 incremental aggregates and per-request records; the raw events live in
-the run's one event log (engine.TraceRecorder).  After a run the
-aggregates are recomputed from that log and reconciled against the
-money ledger; any disagreement raises instead of reporting silently
-wrong numbers.  What each account was funded with is read from the
+the run's one event log (engine.TraceRecorder).  The aggregates are
+recounted from that log a part at a time, each part once: every chunk a
+streaming recorder writes and drops, then what it still holds when the
+run ends.  A recorder without a sink hands over its whole log at the
+end.  The recounts are then reconciled with the tallies and the money
+ledger; any disagreement raises instead of reporting silently wrong
+numbers.  What each account was funded with is read from the
 journal's debits to the world account.  A summary's trace and scenario digests are computed
 on first read, so a run whose digests nobody reads hashes nothing.
 """
@@ -141,6 +144,21 @@ class RunSummary:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
+@dataclass
+class Recount:
+    """The aggregates recounted from the event log, for `cross_check`."""
+
+    events: int = 0
+    submitted: int = 0
+    accepted: int = 0
+    served: int = 0
+    unserved: int = 0
+    rejections: dict[str, int] = field(default_factory=dict)
+    traded_quantity: int = 0
+    penalties: Money = 0
+    served_paid: Money = 0
+
+
 class MetricsCollector:
     """Streams events into per-request records and incremental tallies."""
 
@@ -159,6 +177,7 @@ class MetricsCollector:
         self.penalties_paid: Money = 0
         self.price_sum: Money = 0  # over accepted admissions that name a price
         self.price_count = 0
+        self.recounted = Recount()
 
     def observer(self, event: Event) -> None:
         self.record(event.fire_at, event.kind, event.payload)
@@ -319,56 +338,85 @@ class MetricsCollector:
             digest_trace=trace_digest,
         )
 
-    def cross_check(self, events: list[Event], summary: RunSummary, ledger: Ledger,
+    def recount(self, events: list[Event]) -> None:
+        """Fold one part of the event log into `recounted`, in one loop.
+
+        A run passes each event exactly once: a streaming recorder hands
+        over every chunk before it drops it, and `cross_check` the rest.
+        """
+        r = self.recounted
+        rejections = r.rejections
+        submitted = accepted = served = unserved = traded = penalties = paid = 0
+        for ev in events:
+            kind = ev.kind
+            if kind == "admission":
+                p = ev.payload
+                if p["accepted"]:
+                    accepted += 1
+                else:
+                    rejections[p["reason"]] = rejections.get(p["reason"], 0) + 1
+            elif kind == "request_served":
+                served += 1
+                paid += ev.payload["consumer_paid"]
+            elif kind == "request_submitted":
+                submitted += 1
+            elif kind == "settlement":
+                penalties += ev.payload["penalty"]
+            elif kind == "trade":
+                traded += ev.payload["quantity"]
+            elif kind == "request_unserved":
+                unserved += 1
+        r.events += len(events)
+        r.submitted += submitted
+        r.accepted += accepted
+        r.served += served
+        r.unserved += unserved
+        r.traded_quantity += traded
+        r.penalties += penalties
+        r.served_paid += paid
+
+    def cross_check(self, rest: list[Event], summary: RunSummary, ledger: Ledger,
                     consumer_ids: list[str]) -> None:
-        """Recompute every aggregate from the event log and the journal.
+        """Recount the event log's unrecounted `rest`, then reconcile it all.
 
         The incremental tallies, the event log, and the double-entry
         journal are three independent accounts of the same run; this is
         where they must all agree.
         """
-        by_kind: dict[str, list[dict]] = {}
-        for ev in events:
-            by_kind.setdefault(ev.kind, []).append(ev.payload)
-        admissions = by_kind.get("admission", [])
-        served = by_kind.get("request_served", [])
-
-        recount_submitted = len(by_kind.get("request_submitted", []))
-        if recount_submitted != summary.submitted:
+        self.recount(rest)
+        r = self.recounted
+        if r.events != summary.events_fired:
             raise CrossCheckFailure(
-                f"submitted: log says {recount_submitted}, tally {summary.submitted}"
+                f"events: {r.events} recounted, {summary.events_fired} fired"
             )
-        recount_accepted = sum(1 for p in admissions if p["accepted"])
-        if recount_accepted != summary.accepted:
+        if r.submitted != summary.submitted:
             raise CrossCheckFailure(
-                f"accepted: log says {recount_accepted}, tally {summary.accepted}"
+                f"submitted: log says {r.submitted}, tally {summary.submitted}"
             )
-        if len(served) != summary.served:
+        if r.accepted != summary.accepted:
             raise CrossCheckFailure(
-                f"served: log says {len(served)}, tally {summary.served}"
+                f"accepted: log says {r.accepted}, tally {summary.accepted}"
             )
-        recount_unserved = len(by_kind.get("request_unserved", []))
-        if recount_unserved != summary.unserved:
+        if r.served != summary.served:
             raise CrossCheckFailure(
-                f"unserved: log says {recount_unserved}, tally {summary.unserved}"
+                f"served: log says {r.served}, tally {summary.served}"
             )
-        rejections: dict[str, int] = {}
-        for p in admissions:
-            if not p["accepted"]:
-                rejections[p["reason"]] = rejections.get(p["reason"], 0) + 1
-        if rejections != summary.rejections:
+        if r.unserved != summary.unserved:
             raise CrossCheckFailure(
-                f"rejections: log says {rejections}, tally {summary.rejections}"
+                f"unserved: log says {r.unserved}, tally {summary.unserved}"
             )
-        traded = sum(p["quantity"] for p in by_kind.get("trade", []))
-        if traded != summary.traded_quantity:
+        if r.rejections != summary.rejections:
             raise CrossCheckFailure(
-                f"traded quantity: log says {traded}, tally {summary.traded_quantity}"
+                f"rejections: log says {r.rejections}, tally {summary.rejections}"
             )
-        penalties = sum(p["penalty"] for p in by_kind.get("settlement", []))
-        if penalties != summary.penalties_paid:
+        if r.traded_quantity != summary.traded_quantity:
             raise CrossCheckFailure(
-                f"penalties: log says {penalties}, tally {summary.penalties_paid}"
+                f"traded quantity: log says {r.traded_quantity}, "
+                f"tally {summary.traded_quantity}"
+            )
+        if r.penalties != summary.penalties_paid:
+            raise CrossCheckFailure(
+                f"penalties: log says {r.penalties}, tally {summary.penalties_paid}"
             )
 
         replayed = ledger.replay()
@@ -382,10 +430,9 @@ class MetricsCollector:
             raise CrossCheckFailure(
                 f"consumer spend: ledger says {spend}, summary {summary.consumer_spend}"
             )
-        served_paid = sum(p["consumer_paid"] for p in served)
-        if served_paid != summary.consumer_spend:
+        if r.served_paid != summary.consumer_spend:
             raise CrossCheckFailure(
-                f"consumer spend: events say {served_paid}, "
+                f"consumer spend: events say {r.served_paid}, "
                 f"ledger {summary.consumer_spend}"
             )
 

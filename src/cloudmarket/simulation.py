@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from typing import BinaryIO
 
 from .allocator import Accept, ServiceRequest, SlaAllocator
 from .datacenter import Datacenter, fleet_specs
@@ -112,13 +113,15 @@ class RunResult:
 class _Run:
     """Shared state and handlers for one simulation run."""
 
-    def __init__(self, scenario: Scenario, seed: int, mode: str):
+    def __init__(self, scenario: Scenario, seed: int, mode: str,
+                 trace_sink: BinaryIO | None = None):
         self.scenario = scenario
         self.seed = seed
         self.mode = mode
         self.engine = SimEngine()
-        self.trace = TraceRecorder()
         self.collector = MetricsCollector()
+        # a streamed chunk is recounted for the cross-check before it is dropped
+        self.trace = TraceRecorder(trace_sink, on_chunk=self.collector.recount)
         self.engine.add_observer(self.trace)
         self.engine.add_observer(self.collector.observer)
         self.ledger = Ledger()
@@ -289,8 +292,8 @@ class _Run:
         """Drain the run, then summarize and cross-check it from the one event log.
 
         The summary's trace and scenario digests are left to its first
-        read: the trace digest is `trace.digest()`, which the CLI
-        computes as it writes the trace file.
+        read: the trace digest is `trace.digest()`, which a streamed run
+        takes as it ends and a run without a sink renders on demand.
         """
         self.engine.run_until(self.scenario.horizon)
         self.engine.drain()
@@ -314,7 +317,7 @@ class _Run:
             mode=self.mode,
             seed=self.seed,
             horizon=self.scenario.horizon,
-            events_fired=len(self.trace.events),
+            events_fired=self.trace.count,
             trace_digest=self.trace.digest,
             ledger=self.ledger,
             provider_ids=sorted(self.providers),
@@ -323,7 +326,7 @@ class _Run:
             utilization=utilization,
         )
         self.collector.cross_check(
-            self.trace.events, summary, self.ledger, sorted(self.in_flight_budget),
+            self.trace.held, summary, self.ledger, sorted(self.in_flight_budget),
         )
         return summary
 
@@ -688,11 +691,16 @@ def run_scenario(
     seed: int | None = None,
     mode: str | None = None,
     requests: list[ServiceRequest] | None = None,
+    trace_sink: BinaryIO | None = None,
 ) -> RunResult:
     """Simulate one scenario and return the full result bundle.
 
     `requests` is the trace that `generate_requests(scenario, seed)`
-    returns; omitted, it is generated here.
+    returns; omitted, it is generated here.  Given a `trace_sink`, the
+    run writes its trace file there while it fires, a chunk at a time,
+    and has written all of it, final newline included, when it returns;
+    its `trace` then keeps only the digest.  Without one, `trace` keeps
+    every event.
     """
     if seed is None:
         seed = scenario.master_seed if scenario.master_seed is not None else 0
@@ -701,14 +709,16 @@ def run_scenario(
     if requests is None:
         requests = generate_requests(scenario, seed)
     if mode == MODE_SYSTEM_CENTRIC:
-        run: _Run = _BaselineRun(scenario, seed, mode)
+        run: _Run = _BaselineRun(scenario, seed, mode, trace_sink)
     elif mode == MODE_MARKET:
-        run = _MarketRun(scenario, seed, mode)
+        run = _MarketRun(scenario, seed, mode, trace_sink)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     run.start()
     run.schedule_requests(requests)
     summary = run.finish()
+    if trace_sink is not None:
+        run.trace.digest()
     # the handlers are the run's bound methods, and the run holds the
     # engine: dropping them lets reference counting free the finished run
     run.engine.clear_handlers()

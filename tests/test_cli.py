@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -10,11 +11,13 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cloudmarket import simulation
+from cloudmarket import engine, simulation
 from cloudmarket.cli import main
 from cloudmarket.datacenter import Datacenter
-from cloudmarket.engine import SimEngine, TraceRecorder
+from cloudmarket.engine import SimEngine
 from cloudmarket.exchange import OrderBook, ReservationBook
+from cloudmarket.simulation import UnexpectedFill
+from make_golden_digests import GOLDEN
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SMOKE = str(SCENARIOS / "smoke.yaml")
@@ -130,15 +133,17 @@ def test_run_writes_all_four_artifacts(tmp_path, capsys, renders):
     out = tmp_path / "out"
     code = main(["--scenario", SMOKE, "--out", str(out), "--seed", "5"])
     assert code == 0
-    # the summary, the report line and the trace file share one render
-    assert renders == {"trace": 1, "scenario": 1}
     report = capsys.readouterr().out
     assert (out / "summary_seed5.json").is_file()
     assert (out / "metrics_seed5.csv").is_file()
     assert (out / "journal_seed5.csv").is_file()
     assert (out / "trace_seed5.log").is_file()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "journal_seed5.csv", "metrics_seed5.csv", "summary_seed5.json", "trace_seed5.log"]
 
     summary = json.loads((out / "summary_seed5.json").read_text(encoding="utf-8"))
+    # the summary, the report line and the trace file share one render
+    assert renders == {"trace": summary["events_fired"], "scenario": 1}
     assert summary["seed"] == 5
     assert summary["config"]["scenario_path"] == SMOKE
     assert summary["requests"]["submitted"] > 0
@@ -158,19 +163,19 @@ def test_run_writes_all_four_artifacts(tmp_path, capsys, renders):
 
 @pytest.fixture
 def renders(monkeypatch):
-    """Count trace renders and scenario dumps, the work behind the digests."""
+    """Count rendered trace lines and scenario dumps, the work behind the digests."""
     counts = Counter()
-    lines, dump = TraceRecorder.lines, simulation.dump_scenario
+    line, dump = engine.trace_line, simulation.dump_scenario
 
-    def counting_lines(recorder):
+    def counting_line(event):
         counts["trace"] += 1
-        return lines(recorder)
+        return line(event)
 
     def counting_dump(scenario):
         counts["scenario"] += 1
         return dump(scenario)
 
-    monkeypatch.setattr(TraceRecorder, "lines", counting_lines)
+    monkeypatch.setattr(engine, "trace_line", counting_line)
     monkeypatch.setattr(simulation, "dump_scenario", counting_dump)
     return counts
 
@@ -280,15 +285,17 @@ def test_trace_off_suppresses_the_log(tmp_path, capsys, renders):
     assert code == 0
     capsys.readouterr()
     # the summary still carries both digests
-    assert renders == {"trace": 1, "scenario": 1}
-    assert (out / "summary_seed5.json").is_file()
+    summary = json.loads((out / "summary_seed5.json").read_text(encoding="utf-8"))
+    assert renders == {"trace": summary["events_fired"], "scenario": 1}
     assert not (out / "trace_seed5.log").exists()
+    assert not any(p.name.startswith("trace") for p in out.iterdir())
 
 
 def test_trace_file_and_both_digests_come_from_one_render(tmp_path, capsys, renders):
     on, off = tmp_path / "on", tmp_path / "off"
     assert main(["--scenario", SMOKE, "--out", str(on), "--seed", "5"]) == 0
-    assert renders == {"trace": 1, "scenario": 1}
+    fired = json.loads((on / "summary_seed5.json").read_text(encoding="utf-8"))["events_fired"]
+    assert renders == {"trace": fired, "scenario": 1}
     assert main(["--scenario", SMOKE, "--out", str(off), "--seed", "5",
                  "--trace", "off"]) == 0
     capsys.readouterr()
@@ -323,9 +330,11 @@ def test_seed_sweep_writes_one_run_per_seed_plus_aggregate(tmp_path, capsys, ren
     code = main(["--scenario", SMOKE, "--out", str(out), "--seeds", "3..5"])
     assert code == 0
     capsys.readouterr()
-    assert renders == {"trace": 3, "scenario": 3}
-    for seed in (3, 4, 5):
-        assert (out / f"summary_seed{seed}.json").is_file()
+    fired = sum(
+        json.loads((out / f"summary_seed{seed}.json").read_text(encoding="utf-8"))["events_fired"]
+        for seed in (3, 4, 5)
+    )
+    assert renders == {"trace": fired, "scenario": 3}
     rows = read_csv(out / "aggregate.csv")
     assert [r["seed"] for r in rows] == ["3", "4", "5"]
     assert all(r["mode"] == "market" for r in rows)
@@ -377,3 +386,82 @@ def test_out_dir_env_variable_is_honoured(tmp_path, monkeypatch, capsys):
     assert main(["--scenario", SMOKE, "--seed", "2"]) == 0
     capsys.readouterr()
     assert (tmp_path / "from_env" / "summary_seed2.json").is_file()
+
+
+def _scenario_in_mode(tmp_path, name, mode, horizon_scale=1):
+    raw = yaml.safe_load((SCENARIOS / f"{name}.yaml").read_text(encoding="utf-8"))
+    raw["mode"] = mode
+    raw["horizon"] *= horizon_scale
+    path = tmp_path / f"{name}_{mode}_x{horizon_scale}.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(json.loads(GOLDEN.read_text(encoding="utf-8"))))
+def test_streamed_trace_matches_the_golden_digest(tmp_path, capsys, case):
+    # the goldens hash the lines of a run that keeps its whole log; a CLI
+    # run streams its trace while it fires and must give the same bytes
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]["trace"]
+    name, mode, seed = case.split("/")
+    scenario = _scenario_in_mode(tmp_path, name, mode)
+    for trace in ("on", "off"):
+        out = tmp_path / trace
+        assert main(["--scenario", scenario, "--out", str(out), "--seed", seed[len("seed"):],
+                     "--trace", trace]) == 0
+        summary = json.loads(
+            (out / f"summary_{seed}.json").read_text(encoding="utf-8"))
+        assert summary["trace_digest"] == expected, trace
+    capsys.readouterr()
+    body = (tmp_path / "on" / f"trace_{seed}.log").read_bytes()
+    assert body.endswith(b"\n")
+    assert hashlib.sha256(body[:-1]).hexdigest() == expected
+    assert not (tmp_path / "off" / f"trace_{seed}.log").exists()
+
+
+def test_failed_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
+    # seed 1 fails once streaming has written a chunk; the finished seed 0
+    # keeps its artifacts and seed 1 leaves no trace file, whole or partial
+    out = tmp_path / "out"
+    real_cycle = simulation._MarketRun.on_market_cycle
+    streamed = []
+
+    def fail_after_a_chunk(self, event):
+        if self.seed == 1 and self.trace.count > engine._CHUNK_LINES:
+            partial = out / "trace_seed1.log.partial"
+            streamed.append(partial.stat().st_size)
+            raise UnexpectedFill(f"planted fault at t={event.fire_at}")
+        return real_cycle(self, event)
+
+    monkeypatch.setattr(simulation._MarketRun, "on_market_cycle", fail_after_a_chunk)
+    code = main(["--scenario", TWO_CLASS, "--out", str(out), "--seeds", "0..1"])
+    assert code == 4
+    assert "planted fault at t=" in capsys.readouterr().err
+    assert streamed and streamed[0] > 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "journal_seed0.csv", "metrics_seed0.csv", "summary_seed0.json", "trace_seed0.log"]
+
+
+def test_a_run_holds_one_chunk_of_its_log_at_most(tmp_path, capsys):
+    # two_class fires more than one chunk of events at its own horizon
+    # (about 630 requests) and at four times it (about 2,500).  Held
+    # whole, the event log takes the longer run's peak to about 3.4 times
+    # the shorter's; streamed, what still grows is the journal, the
+    # request records and the generated requests, about 1 KB a request,
+    # and the peak is about 1.8 times
+    def peak(scale):
+        scenario = _scenario_in_mode(tmp_path, "two_class", "market", scale)
+        out = tmp_path / f"x{scale}"
+        tracemalloc.start()
+        try:
+            assert main(["--scenario", scenario, "--out", str(out), "--seed", "0"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        summary = json.loads((out / "summary_seed0.json").read_text(encoding="utf-8"))
+        assert summary["events_fired"] > engine._CHUNK_LINES
+        return peak
+
+    peak(1)  # one-time allocations (caches, lazy imports) stay out of the measured pair
+    small, large = peak(1), peak(4)
+    capsys.readouterr()
+    assert large <= 2 * small, (small, large)

@@ -18,6 +18,7 @@ from cloudmarket.engine import (
     SchedulingInPast,
     SimEngine,
     TraceRecorder,
+    TraceStreamed,
     payload_digest,
     trace_line,
 )
@@ -213,8 +214,8 @@ class _HashingSink:
         return len(data)
 
 
-def _synthetic_log(count):
-    recorder = TraceRecorder()
+def _synthetic_log(count, sink=None, on_chunk=None):
+    recorder = TraceRecorder(sink, on_chunk)
     for seq in range(count):
         recorder(Event(fire_at=seq // 7, seq=seq, kind="probe",
                        payload={"request_id": f"req{seq:06d}", "n": seq}))
@@ -224,30 +225,67 @@ def _synthetic_log(count):
 @pytest.mark.parametrize("count", [0, 1, engine_module._CHUNK_LINES,
                                    2 * engine_module._CHUNK_LINES + 3])
 def test_digest_sink_receives_the_lines_and_a_final_newline(count):
-    recorder = _synthetic_log(count)
     sink = io.BytesIO()
-    digest = recorder.digest(sink)
-    expected = "\n".join(recorder.lines()) + "\n"
+    streamed = _synthetic_log(count, sink)
+    whole = _synthetic_log(count)
+    digest = streamed.digest()
+    expected = "\n".join(whole.lines()) + "\n"
     assert sink.getvalue() == expected.encode("utf-8")
     # the digest hashes the file less its final newline
     assert digest == hashlib.sha256(sink.getvalue()[:-1]).hexdigest()
-    assert recorder.digest() == digest
+    assert streamed.digest() == digest == whole.digest()
+    assert streamed.count == whole.count == count
+    # a second digest writes nothing more
+    assert sink.getvalue() == expected.encode("utf-8")
 
 
 def test_digest_with_a_sink_holds_memory_flat_in_the_log_length():
-    # the trace is never held whole: peak memory over a log four times
-    # longer stays within half again of the shorter log's
+    # the log is never held whole: peak memory while recording and
+    # digesting a log four times longer stays within half again of the
+    # shorter log's
     def peak(count):
-        recorder = _synthetic_log(count)
         tracemalloc.start()
         try:
-            recorder.digest(_HashingSink())
+            _synthetic_log(count, _HashingSink()).digest()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     small, large = peak(10_000), peak(40_000)
     assert large <= 1.5 * small, (small, large)
+
+
+def test_a_streaming_recorder_hands_over_each_chunk_once_and_holds_less():
+    chunks = []
+    count = 2 * engine_module._CHUNK_LINES + 3
+    recorder = TraceRecorder(io.BytesIO(), on_chunk=chunks.append)
+    for seq in range(count):
+        recorder(Event(fire_at=seq, seq=seq, kind="probe", payload={"n": seq}))
+        assert len(recorder.held) < engine_module._CHUNK_LINES
+        assert recorder.count == seq + 1
+    assert [len(chunk) for chunk in chunks] == [engine_module._CHUNK_LINES] * 2
+    # the chunks and what is still held are the log, each event once, in order
+    streamed = [ev.seq for chunk in chunks for ev in chunk] + [ev.seq for ev in recorder.held]
+    assert streamed == list(range(count))
+    recorder.digest()
+    assert recorder.held == [] and recorder.count == count
+
+
+def test_a_streaming_recorder_gives_out_no_partial_log():
+    recorder = _synthetic_log(engine_module._CHUNK_LINES + 5, io.BytesIO())
+    with pytest.raises(TraceStreamed, match="no whole log"):
+        recorder.events
+    with pytest.raises(TraceStreamed, match="no whole log"):
+        recorder.lines()
+    recorder.digest()
+    with pytest.raises(TraceStreamed, match="after the trace digest"):
+        recorder(Event(fire_at=99, seq=99, kind="late", payload={}))
+    # a recorder without a sink still gives out its whole log and takes
+    # events after a digest, which it then renders again
+    whole = _synthetic_log(3)
+    first = whole.digest()
+    whole(Event(fire_at=99, seq=99, kind="late", payload={}))
+    assert len(whole.events) == 4 and whole.digest() != first
 
 
 def test_payload_digest_is_key_order_insensitive():

@@ -1,12 +1,14 @@
 """Collector aggregates, summary serialization, and the three-way cross check."""
 
 import dataclasses
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import cloudmarket.engine as engine_module
 from cloudmarket.engine import Event, SimEngine, TraceRecorder
 from cloudmarket.exchange import Ledger
 from cloudmarket.metrics import (
@@ -161,6 +163,69 @@ def test_cross_check_catches_mispriced_served_event():
             events[i] = dataclasses.replace(ev, payload=payload)
     with pytest.raises(CrossCheckFailure, match="spend"):
         collector.cross_check(events, summary, ledger, ["acme"])
+
+
+def streamed(collector, events, monkeypatch):
+    """Pass the log through a recorder that streams it in chunks of two,
+    recounting each chunk before it is dropped, as a streamed run does;
+    return what the recorder still holds."""
+    monkeypatch.setattr(engine_module, "_CHUNK_LINES", 2)
+    recorder = TraceRecorder(io.BytesIO(), on_chunk=collector.recount)
+    for ev in events:
+        recorder(ev)
+    assert len(recorder.held) < 2 < len(events)
+    return recorder.held
+
+
+def served_at_601(summary, events, ledger):
+    for i, ev in enumerate(events):
+        if ev.kind == "request_served":
+            events[i] = dataclasses.replace(ev, payload=dict(ev.payload, consumer_paid=601))
+    return summary
+
+
+def doctored_journal(summary, events, ledger):
+    ledger.journal[-1] = dataclasses.replace(ledger.journal[-1], amount=599)
+    return summary
+
+
+def one_more_submitted(summary, events, ledger):
+    return dataclasses.replace(summary, submitted=summary.submitted + 1)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (None, None),
+    (one_more_submitted, "submitted"),
+    (doctored_journal, "replay"),
+    (served_at_601, "spend"),
+])
+def test_cross_check_keeps_its_teeth_when_the_log_is_streamed(monkeypatch, tamper, message):
+    # the same faults as the tests above, recounted a chunk at a time
+    collector, events, ledger, summary = small_summary()
+    if tamper is not None:
+        summary = tamper(summary, events, ledger)
+    rest = streamed(collector, events, monkeypatch)
+    if message is None:
+        collector.cross_check(rest, summary, ledger, ["acme"])
+    else:
+        with pytest.raises(CrossCheckFailure, match=message):
+            collector.cross_check(rest, summary, ledger, ["acme"])
+
+
+def test_cross_check_counts_each_event_once(monkeypatch):
+    collector, events, ledger, summary = small_summary()
+    rest = streamed(collector, events, monkeypatch)
+    whole = MetricsCollector()
+    whole.recount(events)
+    collector.recount(rest)
+    assert collector.recounted == whole.recounted
+    assert whole.recounted.events == len(events) == summary.events_fired
+    # a part recounted twice, or never, shows as a count of events
+    collector.recount(events[:1])
+    with pytest.raises(CrossCheckFailure, match="events: 7 recounted, 6 fired"):
+        collector.cross_check([], summary, ledger, ["acme"])
+    with pytest.raises(CrossCheckFailure, match="events: 5 recounted, 6 fired"):
+        MetricsCollector().cross_check(events[1:], summary, ledger, ["acme"])
 
 
 def test_events_must_arrive_in_time_order():

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import io
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -11,9 +12,12 @@ from pathlib import Path
 import pytest
 import yaml
 
+import cloudmarket.engine as engine_module
 from cloudmarket import simulation
 from cloudmarket.datacenter import fleet_specs
-from cloudmarket.exchange import WORLD
+from cloudmarket.engine import SimEngine, TraceStreamed, _CHUNK_LINES as CHUNK_LINES
+from cloudmarket.exchange import WORLD, Ledger
+from cloudmarket.metrics import CrossCheckFailure, MetricsCollector
 from cloudmarket.simulation import compare_modes, request_trace_digest, run_scenario
 from cloudmarket.workload import (
     dump_scenario,
@@ -433,6 +437,92 @@ def test_a_finished_run_is_freed_without_the_cyclic_collector(monkeypatch):
     finally:
         gc.enable()
     assert len(engines) == 2
+
+
+@pytest.mark.parametrize("mode", ["market", "system_centric"])
+def test_a_streamed_run_matches_a_run_that_keeps_its_log(mode):
+    # two_class fires more than one chunk of events: the streamed run
+    # recounts each chunk before dropping it, the other its whole log
+    scenario = load("two_class.yaml")
+    sink = io.BytesIO()
+    streamed = run_scenario(scenario, seed=0, mode=mode, trace_sink=sink)
+    whole = run_scenario(scenario, seed=0, mode=mode)
+    assert streamed.summary.events_fired == whole.summary.events_fired > CHUNK_LINES
+    assert streamed.collector.recounted == whole.collector.recounted
+    assert streamed.collector.recounted.events == whole.summary.events_fired
+    assert sink.getvalue() == ("\n".join(whole.trace.lines()) + "\n").encode("utf-8")
+    assert streamed.summary.to_json() == whole.summary.to_json()
+    assert journal_rows(streamed) == journal_rows(whole)
+    assert streamed.trace.held == []
+    with pytest.raises(TraceStreamed):
+        streamed.trace.events
+
+
+def test_a_finished_streamed_run_is_freed_without_the_cyclic_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_scenario(load("smoke.yaml"), seed=11, trace_sink=io.BytesIO())
+        trace, collector = weakref.ref(result.trace), weakref.ref(result.collector)
+        del result
+        assert trace() is None and collector() is None
+    finally:
+        gc.enable()
+
+
+def _one_more_submitted(monkeypatch):
+    handlers = dict(MetricsCollector._HANDLERS)
+    submitted = handlers["request_submitted"]
+
+    def count_the_first_twice(self, at, p):
+        submitted(self, at, p)
+        if self.submitted == 1:
+            self.submitted += 1
+
+    handlers["request_submitted"] = count_the_first_twice
+    monkeypatch.setattr(MetricsCollector, "_HANDLERS", handlers)
+
+
+def _doctored_journal(monkeypatch):
+    transfer = Ledger.transfer
+
+    def doctor_the_first_payment(self, debit, credit, amount, at, memo=""):
+        entry = transfer(self, debit, credit, amount, at, memo)
+        if debit != WORLD and not any(e.debit != WORLD for e in self.journal[:-1]):
+            self.journal[-1] = replace(entry, amount=amount + 1)
+        return entry
+
+    monkeypatch.setattr(Ledger, "transfer", doctor_the_first_payment)
+
+
+def _mispriced_served(monkeypatch):
+    emit = SimEngine.emit
+
+    def misprice_the_first_served(self, kind, payload=None):
+        if kind == "request_served" and not getattr(self, "mispriced", False):
+            self.mispriced = True
+            payload = dict(payload, consumer_paid=payload["consumer_paid"] + 1)
+        return emit(self, kind, payload)
+
+    monkeypatch.setattr(SimEngine, "emit", misprice_the_first_served)
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+@pytest.mark.parametrize("tamper, message", [
+    (_one_more_submitted, "submitted: log says 40, tally 41"),
+    (_doctored_journal, "journal replay"),
+    (_mispriced_served, "consumer spend: events say"),
+])
+def test_cross_check_keeps_its_teeth_in_a_streamed_run(monkeypatch, tamper, message, streamed):
+    # chunks of 64 events: smoke fires about ten of them, so the fault is
+    # recounted from a chunk that the streamed run has already dropped
+    monkeypatch.setattr(engine_module, "_CHUNK_LINES", 64)
+    tamper(monkeypatch)
+    sink = io.BytesIO() if streamed else None
+    with pytest.raises(CrossCheckFailure, match=message):
+        run_scenario(load("smoke.yaml"), seed=11, mode="market", trace_sink=sink)
+    if streamed:
+        assert len(sink.getvalue().splitlines()) >= 64
 
 
 @pytest.mark.parametrize("name", [
