@@ -21,7 +21,7 @@ REJECT_BUDGET = "BudgetInfeasible"
 REJECT_CAPACITY = "CapacityUnavailable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QosSpec:
     deadline: int
     budget: Money
@@ -29,7 +29,7 @@ class QosSpec:
     mem_need: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceRequest:
     request_id: str
     consumer_id: str

@@ -30,11 +30,13 @@ from .simulation import (
     run_scenario,
 )
 from .workload import (
+    TRACE_KEYS,
     ParseError,
     Scenario,
     ValidationError,
     generate_requests,
     load_scenario,
+    request_row,
 )
 
 EXIT_OK = 0
@@ -148,8 +150,8 @@ def _write_artifacts(out: Path, args, result: RunResult) -> None:
 
     metrics_path = out / f"metrics_seed{seed}.csv"
     with metrics_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=REQUEST_CSV_FIELDS)
-        writer.writeheader()
+        writer = csv.writer(handle)
+        writer.writerow(REQUEST_CSV_FIELDS)
         writer.writerows(result.collector.iter_request_rows())
 
     journal_path = out / f"journal_seed{seed}.csv"
@@ -277,16 +279,9 @@ def cmd_generate(args) -> int:
         path = out / f"requests_seed{seed}.csv"
         with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow([
-                "request_id", "consumer", "submit_time", "volume",
-                "cpu_need", "mem_need", "deadline", "budget",
-            ])
-            for r in requests:
-                writer.writerow([
-                    r.request_id, r.consumer_id, r.submit_time,
-                    r.workload_volume, r.qos.cpu_need, r.qos.mem_need,
-                    r.qos.deadline, r.qos.budget,
-                ])
+            # the generated CSV names its consumer column `consumer`
+            writer.writerow(("request_id", "consumer", *TRACE_KEYS[1:]))
+            writer.writerows(map(request_row, requests))
         print(f"wrote {len(requests)} request(s): {path}")
     return EXIT_OK
 

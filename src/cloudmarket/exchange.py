@@ -49,7 +49,7 @@ class ConservationError(Exception):
 WORLD = "world"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JournalEntry:
     seq: int
     at: int
@@ -511,6 +511,5 @@ def settle_sla(
     if penalty > 0:
         ledger.transfer(sla.seller, sla.buyer, penalty, at, memo=f"sla {sla.sla_id} penalty")
     sla.settled = True
-    ledger.assert_conservation()
     net = (0 if sla.paid else base) - penalty
     return Settlement(sla.sla_id, base, penalty, net, at)

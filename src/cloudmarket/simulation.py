@@ -48,6 +48,7 @@ from .workload import (
     Scenario,
     dump_scenario,
     generate_requests,
+    request_row,
 )
 
 UNSERVED_DEADLINE_EXPIRED = "DeadlineExpired"
@@ -68,12 +69,7 @@ def scenario_digest(scenario: Scenario) -> str:
 
 
 def request_trace_digest(requests: list[ServiceRequest]) -> str:
-    rows = []
-    for r in requests:
-        rows.append("\t".join(str(x) for x in (
-            r.request_id, r.consumer_id, r.submit_time, r.workload_volume,
-            r.qos.cpu_need, r.qos.mem_need, r.qos.deadline, r.qos.budget,
-        )))
+    rows = ("\t".join(map(str, request_row(r))) for r in requests)
     return hashlib.sha256("\n".join(rows).encode("utf-8")).hexdigest()
 
 
@@ -325,9 +321,7 @@ class _Run:
             consumer_ids=sorted(self.in_flight_budget),
             utilization=utilization,
         )
-        self.collector.cross_check(
-            self.trace.held, summary, self.ledger, sorted(self.in_flight_budget),
-        )
+        self.collector.cross_check(self.trace.held, summary, self.ledger)
         return summary
 
 

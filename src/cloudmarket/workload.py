@@ -2,14 +2,18 @@
 
 Scenarios are YAML with strict validation: unknown fields are rejected
 by name, and loading then re-dumping a file yields an identical
-normalized form (rationals canonicalized to "p/q" strings).
+normalized form (rationals canonicalized to "p/q" strings).  The dump
+walks the validated dataclasses field by field, so each field a type
+gains reaches the dump and the scenario digest without a second copy of
+its layout.  `request_row` is the one layout of a request: the generated
+CSV, the request digest and a trace's dump all read it.
 """
 
 from __future__ import annotations
 
 import io
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import accumulate, count
 from math import ceil, log
@@ -31,6 +35,19 @@ GENERATOR_STREAMS = (
     "arrival", "volume", "cpu_need", "mem_need",
     "deadline", "budget", "consumer",
 )
+
+# what a trace request is written with, in `request_row` order after its id
+TRACE_KEYS = (
+    "consumer_id", "submit_time", "volume", "cpu_need",
+    "mem_need", "deadline", "budget",
+)
+
+
+def request_row(r: ServiceRequest) -> tuple:
+    """A request's id, then its values under `TRACE_KEYS`."""
+    q = r.qos
+    return (r.request_id, r.consumer_id, r.submit_time, r.workload_volume,
+            q.cpu_need, q.mem_need, q.deadline, q.budget)
 
 
 class ParseError(Exception):
@@ -437,9 +454,7 @@ def _validate_trace(mapping: dict, path: str) -> TraceArrival:
     for i, item in enumerate(_as_list(mapping["requests"], f"{path}.requests")):
         epath = f"{path}.requests[{i}]"
         emap = _as_mapping(item, epath)
-        _check_keys(emap, epath,
-                    {"consumer_id", "submit_time", "volume", "cpu_need",
-                     "mem_need", "deadline", "budget"})
+        _check_keys(emap, epath, set(TRACE_KEYS))
         requests.append(ServiceRequest(
             request_id=f"req{i + 1:06d}",
             consumer_id=_as_str(emap["consumer_id"], f"{epath}.consumer_id"),
@@ -643,94 +658,29 @@ def _num(value: Fraction | int) -> int | str:
     return frac_str(frac)
 
 
-def _dist_dict(dist: dict) -> dict:
-    """Plain-data form of a distribution or policy: exact rationals, lists."""
-    out = {}
-    for key, value in dist.items():
-        if key == "kind":
-            out[key] = value
-        elif key in ("values",):
-            out[key] = list(value)
-        elif key == "weights":
-            if value is not None:  # unweighted choice
-                out[key] = [_num(w) for w in value]
-        elif key == "peak_windows":
-            out[key] = [[s, e] for s, e in value]
-        elif isinstance(value, Fraction):
-            out[key] = _num(value)
-        else:
-            out[key] = value
-    return out
+def _plain(value):
+    """Plain-data form of a validated value: a dataclass as its fields, an
+    optional field left unset omitted, tuples as lists, exact rationals."""
+    if isinstance(value, ServiceRequest):
+        # a trace request keeps the scenario's own keys; its id is derived
+        # from its position when the trace is read back
+        return dict(zip(TRACE_KEYS, request_row(value)[1:]))
+    if is_dataclass(value):
+        return {
+            f.name: _plain(getattr(value, f.name)) for f in fields(value)
+            # an uncapped penalty still writes `cap: null`
+            if getattr(value, f.name) is not None or isinstance(value, PenaltySchedule)
+        }
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, Fraction):
+        return _num(value)
+    return value
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical plain-data form; dump + reload gives the same Scenario."""
-    w = s.workload
-    if isinstance(w.arrival, TraceArrival):
-        workload: dict = {
-            "arrival": {
-                "kind": "trace",
-                "requests": [
-                    {"consumer_id": r.consumer_id, "submit_time": r.submit_time,
-                     "volume": r.workload_volume, "cpu_need": r.qos.cpu_need,
-                     "mem_need": r.qos.mem_need, "deadline": r.qos.deadline,
-                     "budget": r.qos.budget}
-                    for r in w.arrival.requests
-                ],
-            },
-        }
-    else:
-        workload = {
-            key: _dist_dict(asdict(getattr(w, key)))
-            for key in ("arrival", "volume", "cpu_need", "mem_need",
-                        "deadline_slack", "budget_factor")
-        }
-        workload["reference_rate"] = _num(w.reference_rate)
-        if w.count is not None:
-            workload["count"] = w.count
-    out: dict = {
-        "format_version": s.format_version,
-        "name": s.name,
-        "horizon": s.horizon,
-        "day_length": s.day_length,
-        "auction_period": s.auction_period,
-        "mode": s.mode,
-        "providers": [],
-        "brokers": [
-            {"broker_id": b.broker_id, "initial_funds": b.initial_funds,
-             "margin_rate": _num(b.margin_rate)}
-            for b in s.brokers
-        ],
-        "consumers": [
-            {"consumer_id": c.consumer_id, "initial_funds": c.initial_funds,
-             "top_k": c.top_k}
-            for c in s.consumers
-        ],
-        "workload": workload,
-        "negotiation": {
-            "max_rounds": s.negotiation.max_rounds,
-            "buyer_schedule": _dist_dict(asdict(s.negotiation.buyer_schedule)),
-            "seller_schedule": _dist_dict(asdict(s.negotiation.seller_schedule)),
-        },
-        "penalty": _dist_dict(asdict(s.penalty)),
-    }
-    if s.master_seed is not None:
-        out["master_seed"] = s.master_seed
-    for p in s.providers:
-        out["providers"].append({
-            "provider_id": p.provider_id,
-            "boot_delay": p.boot_delay,
-            "reliability_class": p.reliability_class,
-            "security_class": p.security_class,
-            "fleet": [
-                {"count": g.count, "cpu_capacity": g.cpu_capacity,
-                 "mem_capacity": g.mem_capacity}
-                for g in p.fleet
-            ],
-            "pricing": _dist_dict(asdict(p.pricing)),
-            "market": _dist_dict(asdict(p.market)),
-        })
-    return out
+    return _plain(s)
 
 
 def dump_scenario(s: Scenario) -> str:

@@ -103,7 +103,7 @@ def test_empty_collector_summarizes_to_zeroes():
     assert summary.consumer_spend == 0
     assert summary.mean_turnaround is None
     assert summary.mean_price is None
-    collector.cross_check([], summary, ledger, ["acme"])
+    collector.cross_check([], summary, ledger)
 
 
 def test_single_lifecycle_counts():
@@ -131,19 +131,19 @@ def test_funding_is_read_from_the_journal():
     assert summary.consumer_spend == 600
     assert summary.broker_net == {"broker-a": -150}
     assert summary.provider_revenue == {"alpine": 750}
-    collector.cross_check(events, summary, ledger, ["acme"])
+    collector.cross_check(events, summary, ledger)
 
 
 def test_cross_check_accepts_consistent_run():
     collector, events, ledger, summary = small_summary()
-    collector.cross_check(events, summary, ledger, ["acme"])
+    collector.cross_check(events, summary, ledger)
 
 
 def test_cross_check_catches_tampered_tally():
     collector, events, ledger, summary = small_summary()
     summary = dataclasses.replace(summary, submitted=summary.submitted + 1)
     with pytest.raises(CrossCheckFailure, match="submitted"):
-        collector.cross_check(events, summary, ledger, ["acme"])
+        collector.cross_check(events, summary, ledger)
 
 
 def test_cross_check_catches_tampered_journal():
@@ -152,7 +152,7 @@ def test_cross_check_catches_tampered_journal():
     doctored = dataclasses.replace(ledger.journal[-1], amount=599)
     ledger.journal[-1] = doctored
     with pytest.raises(CrossCheckFailure, match="replay"):
-        collector.cross_check(events, summary, ledger, ["acme"])
+        collector.cross_check(events, summary, ledger)
 
 
 def test_cross_check_catches_mispriced_served_event():
@@ -162,7 +162,7 @@ def test_cross_check_catches_mispriced_served_event():
             payload = dict(ev.payload, consumer_paid=601)
             events[i] = dataclasses.replace(ev, payload=payload)
     with pytest.raises(CrossCheckFailure, match="spend"):
-        collector.cross_check(events, summary, ledger, ["acme"])
+        collector.cross_check(events, summary, ledger)
 
 
 def streamed(collector, events, monkeypatch):
@@ -206,10 +206,10 @@ def test_cross_check_keeps_its_teeth_when_the_log_is_streamed(monkeypatch, tampe
         summary = tamper(summary, events, ledger)
     rest = streamed(collector, events, monkeypatch)
     if message is None:
-        collector.cross_check(rest, summary, ledger, ["acme"])
+        collector.cross_check(rest, summary, ledger)
     else:
         with pytest.raises(CrossCheckFailure, match=message):
-            collector.cross_check(rest, summary, ledger, ["acme"])
+            collector.cross_check(rest, summary, ledger)
 
 
 def test_cross_check_counts_each_event_once(monkeypatch):
@@ -223,9 +223,9 @@ def test_cross_check_counts_each_event_once(monkeypatch):
     # a part recounted twice, or never, shows as a count of events
     collector.recount(events[:1])
     with pytest.raises(CrossCheckFailure, match="events: 7 recounted, 6 fired"):
-        collector.cross_check([], summary, ledger, ["acme"])
+        collector.cross_check([], summary, ledger)
     with pytest.raises(CrossCheckFailure, match="events: 5 recounted, 6 fired"):
-        MetricsCollector().cross_check(events[1:], summary, ledger, ["acme"])
+        MetricsCollector().cross_check(events[1:], summary, ledger)
 
 
 def test_events_must_arrive_in_time_order():
@@ -283,7 +283,7 @@ def test_lateness_aggregation_and_mean_price():
     assert summary.deadline_violations_served == 1
     assert summary.mean_turnaround == 17.5
     assert summary.mean_price == 750.0
-    collector.cross_check(events, summary, ledger, ["acme"])
+    collector.cross_check(events, summary, ledger)
 
 
 def random_stream(rng):
@@ -381,7 +381,7 @@ def test_aggregates_match_offline_recomputation():
         prices = [p["price"] for _, k, p in events if k == "admission" and p["accepted"]]
         assert summary.mean_price == (
             float(Fraction(sum(prices), len(prices))) if prices else None)
-        collector.cross_check(log, summary, ledger, ["acme"])
+        collector.cross_check(log, summary, ledger)
 
 
 def test_serialization_is_reproducible():

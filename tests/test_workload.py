@@ -1,5 +1,6 @@
 """Scenario parsing, validation, and request generation."""
 
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -10,7 +11,7 @@ import yaml
 from cloudmarket.allocator import Fixed, PeakOffPeak, UtilizationLinear
 from cloudmarket.exchange import VariablePrice
 from cloudmarket.negotiation import ConcessionSchedule, PenaltySchedule
-from cloudmarket.simulation import _Run, request_trace_digest
+from cloudmarket.simulation import _Run, request_trace_digest, scenario_digest
 from cloudmarket.workload import (
     Choice,
     Constant,
@@ -23,6 +24,7 @@ from cloudmarket.workload import (
     dump_scenario,
     generate_requests,
     load_scenario,
+    scenario_to_dict,
     validate_scenario,
 )
 
@@ -376,6 +378,73 @@ def test_policy_variant_dump_is_pinned():
     # move the scenario_digest of every run summary
     digest = hashlib.sha256(dump_scenario(policy_variant()).encode("utf-8")).hexdigest()
     assert digest == "01b8b037aea6871f4ac0b00b3a152d3f3f3abb8f7d6eeb12b952b0f2526f2ed0"
+
+
+def every_type_scenarios():
+    """Scenarios that between them hold every validated type and kind."""
+    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    raw["providers"][1]["pricing"] = {
+        "kind": "peak_off_peak", "rate": "7/2", "peak_multiplier": "3/2",
+        "peak_windows": [[20, 60], [120, 180]], "day_length": 200,
+    }
+    raw["providers"].append(dict(
+        raw["providers"][0], provider_id="cedar", reliability_class=1, security_class=2,
+        pricing={"kind": "utilization_linear", "base_rate": 5, "alpha": "1/2"},
+    ))
+    raw["workload"].update(
+        cpu_need={"kind": "choice", "values": [1, 2, 4], "weights": [2, "1/2", 1]},
+        budget_factor={"kind": "constant", "value": "5/2"},
+        reference_rate="13/2",
+    )
+    raw["negotiation"]["buyer_schedule"] = {"kind": "poly", "exponent": 3}
+    scenario = validate_scenario(raw)
+    periodic = dataclasses.replace(
+        scenario,
+        workload=dataclasses.replace(scenario.workload, arrival=Periodic(7)),
+        penalty=PenaltySchedule(Fraction(5, 2)),
+    )
+    return {"poisson": scenario, "periodic": periodic, "trace": validate_scenario(trace_raw())}
+
+
+def _bumped(value):
+    """Another value for a leaf of the scenario tree."""
+    if value is None:
+        return 1
+    if isinstance(value, str):
+        return value + "x"
+    if isinstance(value, tuple):
+        return value + value[:1]
+    return value + 1
+
+
+def _leaf_variants(node, path=""):
+    """(path, a copy of `node` with that one leaf changed), for every leaf."""
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        here = f"{path}.{f.name}" if path else f.name
+        if dataclasses.is_dataclass(value):
+            for leaf, changed in _leaf_variants(value, here):
+                yield leaf, dataclasses.replace(node, **{f.name: changed})
+        elif isinstance(value, tuple) and value and dataclasses.is_dataclass(value[0]):
+            for i, item in enumerate(value):
+                for leaf, changed in _leaf_variants(item, f"{here}[{i}]"):
+                    items = value[:i] + (changed,) + value[i + 1:]
+                    yield leaf, dataclasses.replace(node, **{f.name: items})
+        else:
+            yield here, dataclasses.replace(node, **{f.name: _bumped(value)})
+
+
+@pytest.mark.parametrize("name", ["poisson", "periodic", "trace"])
+def test_every_validated_field_reaches_the_digest(name):
+    # the dump walks the types' fields, so a field it misses would leave
+    # the digest and the round trip blind to that field
+    scenario = every_type_scenarios()[name]
+    assert validate_scenario(scenario_to_dict(scenario)) == scenario
+    digest = scenario_digest(scenario)
+    for leaf, changed in _leaf_variants(scenario):
+        # validation derives a trace request's id from its position
+        if not leaf.endswith(".request_id"):
+            assert scenario_digest(changed) != digest, leaf
 
 
 def test_shipped_scenarios_all_validate():
