@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .datacenter import CapacityViolation, InsufficientCapacity, UnknownVm
-from .engine import SchedulingInPast, TraceStreamed
+from .engine import SchedulingInPast, TraceStreamed, TraceWriterFailed
 from .exchange import (
     AlreadySettled, ConservationError, InsufficientFunds, InvalidOrder, InvalidPolicy,
     UnknownAccount,
@@ -52,7 +52,7 @@ INVARIANT_ERRORS = (
     UnknownAccount, InsufficientFunds, AlreadySettled, InvalidOrder,
     InvalidPolicy, ConservationError, CrossCheckFailure, OutOfOrderEvent,
     InvalidTerms, SessionTerminated, UnexpectedCompletion, UnexpectedFill,
-    TraceStreamed,
+    TraceStreamed, TraceWriterFailed,
 )
 
 
@@ -122,7 +122,8 @@ def _run_seed(out: Path, args, scenario: Scenario, seed: int) -> RunResult:
     """Run one seed, writing its trace file while the events fire.
 
     The file is written under a temporary name and renamed once the run
-    has passed its cross-check, so a failed run leaves no trace file.
+    has passed its cross-check, so a failed run leaves no trace file:
+    by the time the run raises, its writer process has been reaped.
     With the trace off the lines go to the null device, so the run still
     holds one chunk of its log at most and the digest is the same.
     """
@@ -311,6 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except INVARIANT_ERRORS as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        for note in getattr(exc, "__notes__", ()):
+            print(f"  {note}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -8,18 +8,25 @@ seeds from (scenario, master_seed), so a run is a pure function of the
 two.
 
 The trace is the run's record of every fired event. Given a sink, the
-recorder writes it there a chunk at a time while the run fires and
-drops what it has written, so a run never holds more than one chunk of
-its log; without one it keeps the whole log in memory for its readers.
+recorder hands it a chunk at a time, while the run fires, to one writer
+process and drops what it has handed over, so a run never holds more
+than one chunk of its log; without one it keeps the whole log in memory
+for its readers. The writer is forked (POSIX `os.fork`) when the first
+chunk is due; it renders, hashes and writes the lines to the sink's
+file descriptor, so the sink must be a real binary file, and it replies
+with the digest once the log ends. A writer that dies or replies
+without a digest fails the run with `TraceWriterFailed`.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import os
 from dataclasses import dataclass
-from itertools import islice
-from typing import BinaryIO, Callable, Iterator
+from itertools import chain, islice
+from typing import BinaryIO, Callable, Iterator, NoReturn
 import heapq
 
 SimTime = int
@@ -32,6 +39,10 @@ class SchedulingInPast(Exception):
 class TraceStreamed(Exception):
     """A recorder that streams to a sink was asked for its whole log, or
     given an event after its digest."""
+
+
+class TraceWriterFailed(Exception):
+    """The process writing a streamed trace died or replied without a digest."""
 
 
 @dataclass(slots=True)
@@ -62,7 +73,23 @@ def payload_digest(payload: dict) -> str:
 
 
 def trace_line(event: Event) -> str:
-    return f"{event.fire_at}\t{event.seq}\t{event.kind}\t{payload_digest(event.payload)}"
+    return _line(event.fire_at, event.seq, event.kind, event.payload)
+
+
+def _line(fire_at: int, seq: int, kind: str, payload: dict) -> str:
+    """The one trace line format; the writer process renders from an
+    event's fields without rebuilding the event."""
+    return f"{fire_at}\t{seq}\t{kind}\t{payload_digest(payload)}"
+
+
+def _rendered(lines: Iterator[str]) -> Iterator[bytes]:
+    """The trace file less its final newline, `_CHUNK_LINES` lines at a
+    time: each chunk's lines joined, every chunk after the first behind
+    the newline that ends the line before it."""
+    separator = b""
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        yield separator + "\n".join(chunk).encode("utf-8")
+        separator = b"\n"
 
 
 class SimEngine:
@@ -126,14 +153,22 @@ class SimEngine:
         observers = self._observers
         handler_for = self._handlers.get
         pop = heapq.heappop
-        while queue and queue[0][0] <= t_end:
-            event = pop(queue)[3]
-            self.clock = event.fire_at
-            for observer in observers:
-                observer(event)
-            handler = handler_for(event.kind)
-            if handler is not None:
-                handler(event)
+        event = None
+        try:
+            while queue and queue[0][0] <= t_end:
+                event = pop(queue)[3]
+                self.clock = event.fire_at
+                for observer in observers:
+                    observer(event)
+                handler = handler_for(event.kind)
+                if handler is not None:
+                    handler(event)
+        except Exception as exc:
+            if event is not None:
+                exc.add_note(
+                    f"while handling {event.kind} (seq {event.seq}) at t={event.fire_at}"
+                )
+            raise
         self.clock = max(self.clock, t_end)
 
     def drain(self) -> None:
@@ -146,9 +181,9 @@ class SimEngine:
         return len(self._queue)
 
 
-# trace lines joined, encoded, hashed and written at a time: enough to
-# amortize the per-chunk calls, few enough that a streamed run holds
-# little of its log
+# trace lines handed to the writer, then rendered, hashed and written, at
+# a time: enough to amortize the per-chunk calls, few enough that a
+# streamed run holds little of its log
 _CHUNK_LINES = 4096
 
 
@@ -163,13 +198,17 @@ class TraceRecorder:
     read, a chunk at a time, keeping the digest until the log grows.
     A run that reads neither renders nothing.
 
-    With a binary sink the recorder streams instead. Each time
-    `_CHUNK_LINES` events are held it hands them to `on_chunk`, renders,
-    hashes and writes them, and drops them. `digest()` writes what is
-    still held and the final newline, keeps the digest and closes the
-    log. Such a recorder has no whole log to give out, so `events` and
-    `lines()` raise, as does recording after the digest; `held` is the
-    part not yet written.
+    With a sink, a binary file with a `fileno()`, the recorder streams
+    instead. Each time `_CHUNK_LINES` events are held it hands them to
+    `on_chunk`, then to its writer process, which it starts for the
+    first chunk, and drops them; the writer renders, hashes and writes
+    them while the run goes on. `digest()` hands over what is still
+    held, waits for the writer to write it and the final newline, keeps
+    the digest the writer replies with and closes the log. Such a
+    recorder has no whole log to give out, so `events` and `lines()`
+    raise, as does recording after the digest; `held` is the part not
+    yet handed over. `close()` stops a writer that no digest has
+    stopped, so a failed run leaves no process behind.
     """
 
     def __init__(
@@ -178,10 +217,13 @@ class TraceRecorder:
         on_chunk: Callable[[list[Event]], None] | None = None,
     ) -> None:
         self._sink = sink
+        # the writer writes to the sink's descriptor: a sink without one
+        # is refused here, not in the middle of a run
+        self._sink_fd = None if sink is None else sink.fileno()
         self._on_chunk = on_chunk
+        self._writer: _TraceWriter | None = None
         self._held: list[Event] = []
-        self._written = 0  # events rendered to the sink and dropped
-        self._sha = hashlib.sha256()  # of what the sink was given, less its final newline
+        self._written = 0  # events handed to the writer and dropped
         self._digest: tuple[int, str] | None = None  # (events rendered, sha256)
         # a recorder without a sink only appends: the same work per event as
         # a list.  The bound `_stream` is a reference cycle until the digest
@@ -193,12 +235,12 @@ class TraceRecorder:
 
     @property
     def count(self) -> int:
-        """Events recorded so far, written or held."""
+        """Events recorded so far, handed to the writer or held."""
         return self._written + len(self._held)
 
     @property
     def held(self) -> list[Event]:
-        """The events not yet written: the whole log without a sink."""
+        """The events not yet handed to the writer: the whole log without a sink."""
         return self._held
 
     @property
@@ -216,22 +258,24 @@ class TraceRecorder:
     def digest(self) -> str:
         if self._sink is not None:
             if self._digest is None:
-                self._write(self._held)
+                self._hand_over(self._held)
                 self._held = []
-                self._sink.write(b"\n")
-                self._digest = (self._written, self._sha.hexdigest())
+                self._digest = (self._written, self._writer.finish())
                 self._record = _refuse_after_digest
             return self._digest[1]
         # the log only grows, so its length says whether the digest is stale
         if self._digest is None or self._digest[0] != len(self._held):
             sha = hashlib.sha256()
-            lines = self.lines()
-            separator = b""
-            while chunk := list(islice(lines, _CHUNK_LINES)):
-                sha.update(separator + "\n".join(chunk).encode("utf-8"))
-                separator = b"\n"
+            for data in _rendered(self.lines()):
+                sha.update(data)
             self._digest = (len(self._held), sha.hexdigest())
         return self._digest[1]
+
+    def close(self) -> None:
+        """Stop the writer if no digest has: it writes what it was handed
+        and exits, and is reaped before this returns."""
+        if self._writer is not None:
+            self._writer.stop()
 
     # -- streaming ----------------------------------------------------------
 
@@ -242,20 +286,154 @@ class TraceRecorder:
             chunk, self._held = held, []
             if self._on_chunk is not None:
                 self._on_chunk(chunk)
-            self._write(chunk)
+            self._hand_over(chunk)
 
-    def _write(self, events: list[Event]) -> None:
-        if not events:
-            return
-        data = "\n".join(map(trace_line, events)).encode("utf-8")
-        if self._written:
-            data = b"\n" + data
-        self._sha.update(data)
-        self._sink.write(data)
-        self._written += len(events)
+    def _hand_over(self, events: list[Event]) -> None:
+        if self._writer is None:
+            # what the sink's own buffer holds goes ahead of the lines
+            self._sink.flush()
+            self._writer = _TraceWriter(self._sink_fd)
+        if events:
+            self._writer.send(events)
+            self._written += len(events)
 
 
 def _refuse_after_digest(event: Event) -> None:
     raise TraceStreamed(
         f"{event.kind} (seq {event.seq}) recorded after the trace digest was taken"
     )
+
+
+# -- the writer process ---------------------------------------------------------
+
+class _TraceWriter:
+    """One forked process that renders, hashes and writes a streamed trace.
+
+    The parent pickles each chunk's events as four columns (fire_at,
+    seq, kind, payload) and sends them down one pipe behind their
+    length; the worker renders them, column by column, in the format of
+    `trace_line` and writes the lines to the sink's descriptor. At the
+    end of its input it writes the final newline and replies on a
+    second pipe with the digest, or with what went wrong, and exits.
+    Either way the parent reaps it, after which the writer takes nothing
+    more.
+    """
+
+    def __init__(self, sink_fd: int) -> None:
+        source, self._pipe = os.pipe()
+        self._reply, reply = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (source, self._pipe, self._reply, reply):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _work(source, sink_fd, reply)
+        os.close(source)
+        os.close(reply)
+        self._running = True
+
+    def send(self, events: list[Event]) -> None:
+        # loaded by the first chunk streamed, not by every run
+        import pickle
+
+        self._check_running()
+        columns = (
+            [e.fire_at for e in events], [e.seq for e in events],
+            [e.kind for e in events], [e.payload for e in events],
+        )
+        data = pickle.dumps(columns, pickle.HIGHEST_PROTOCOL)
+        # led by its length, so the worker takes the whole chunk off the
+        # pipe before it unpickles any of it
+        view = memoryview(len(data).to_bytes(8, "little") + data)
+        try:
+            while view:
+                view = view[os.write(self._pipe, view):]
+        except BrokenPipeError:
+            # the worker has exited: its reply and its status say why
+            raise self._failure(*self._end()) from None
+
+    def finish(self) -> str:
+        """End the input and return the digest the worker replies with."""
+        self._check_running()
+        reply, status = self._end()
+        if status != 0 or len(reply) != 64:
+            raise self._failure(reply, status)
+        return reply.decode("ascii")
+
+    def stop(self) -> None:
+        if self._running:
+            self._end()
+
+    def _check_running(self) -> None:
+        if not self._running:
+            raise TraceWriterFailed(f"trace writer (pid {self.pid}) has already been reaped")
+
+    def _end(self) -> tuple[bytes, int]:
+        """Close the input, read the whole reply and reap the worker."""
+        self._running = False
+        os.close(self._pipe)
+        try:
+            parts = []
+            while part := os.read(self._reply, 4096):
+                parts.append(part)
+        finally:
+            os.close(self._reply)
+            _, status = os.waitpid(self.pid, 0)
+        return b"".join(parts), status
+
+    def _failure(self, reply: bytes, status: int) -> TraceWriterFailed:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        return TraceWriterFailed(
+            f"trace writer (pid {self.pid}) {how}, replying "
+            f"{reply.decode('utf-8', 'replace')!r} instead of a digest"
+        )
+
+
+def _work(source: int, sink_fd: int, reply: int) -> NoReturn:
+    """The forked worker's whole life: serve the pipe, reply, and leave
+    through `os._exit`, so it never runs the parent's exit handlers or
+    flushes the parent's buffers."""
+    status, answer = 1, "nothing: the writer was interrupted"
+    try:
+        # the inherited heap is never collected here, so its pages stay shared
+        gc.disable()
+        # keep only this end of each pipe and the sink: a write end held
+        # here, of this run's pipe or another's, would keep its reader
+        # from ever seeing the end of its input
+        low = 3
+        for fd in sorted({source, sink_fd, reply, os.sysconf("SC_OPEN_MAX")}):
+            if fd >= low:
+                os.closerange(low, fd)
+                low = fd + 1
+        answer = _serve(source, sink_fd)
+        status = 0
+    except Exception as exc:
+        answer = repr(exc)
+    finally:
+        try:
+            os.write(reply, answer.encode("utf-8"))
+        finally:
+            os._exit(status)
+
+
+def _serve(source: int, sink_fd: int) -> str:
+    """Render, hash and write each chunk the pipe brings; at its end,
+    write the final newline and return the digest."""
+    sha = hashlib.sha256()
+    with open(source, "rb") as pipe, open(sink_fd, "wb", closefd=False) as sink:
+        lines = chain.from_iterable(map(_line, *columns) for columns in _received(pipe))
+        for data in _rendered(lines):
+            sha.update(data)
+            sink.write(data)
+        sink.write(b"\n")
+    return sha.hexdigest()
+
+
+def _received(pipe: BinaryIO) -> Iterator[tuple[list, list, list, list]]:
+    import pickle
+
+    while header := pipe.read(8):
+        yield pickle.loads(pipe.read(int.from_bytes(header, "little")))

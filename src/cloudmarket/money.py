@@ -21,13 +21,6 @@ def round_ratio(n: int, d: int) -> int:
     return (2 * n + d) // (2 * d)
 
 
-def round_half_up(value: Fraction | int) -> int:
-    """Round a rational to the nearest integer, halves away from floor."""
-    if isinstance(value, int):
-        return value
-    return round_ratio(value.numerator, value.denominator)
-
-
 def limit_ratio(n: int, d: int, max_d: int) -> tuple[int, int]:
     """The closest p/q to n/d (d > 0) with 0 < q <= max_d (max_d >= 1), in lowest terms.
 

@@ -690,11 +690,13 @@ def run_scenario(
     """Simulate one scenario and return the full result bundle.
 
     `requests` is the trace that `generate_requests(scenario, seed)`
-    returns; omitted, it is generated here.  Given a `trace_sink`, the
-    run writes its trace file there while it fires, a chunk at a time,
-    and has written all of it, final newline included, when it returns;
-    its `trace` then keeps only the digest.  Without one, `trace` keeps
-    every event.
+    returns; omitted, it is generated here.  Given a `trace_sink`, a
+    binary file, the run's writer process writes its trace file there
+    while the run fires, a chunk at a time, and has written all of it,
+    final newline included, when the run returns; its `trace` then
+    keeps only the digest.  Without one, `trace` keeps every event.
+    Whether the run returns or raises, its writer has been reaped, and
+    an exception the run raises carries a note naming its mode and seed.
     """
     if seed is None:
         seed = scenario.master_seed if scenario.master_seed is not None else 0
@@ -708,11 +710,18 @@ def run_scenario(
         run = _MarketRun(scenario, seed, mode, trace_sink)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    run.start()
-    run.schedule_requests(requests)
-    summary = run.finish()
-    if trace_sink is not None:
-        run.trace.digest()
+    try:
+        run.start()
+        run.schedule_requests(requests)
+        summary = run.finish()
+        if trace_sink is not None:
+            run.trace.digest()
+    except Exception as exc:
+        exc.add_note(f"in the {mode} run of seed {seed}")
+        raise
+    finally:
+        # a writer process never outlives its run
+        run.trace.close()
     # the handlers are the run's bound methods, and the run holds the
     # engine: dropping them lets reference counting free the finished run
     run.engine.clear_handlers()

@@ -5,9 +5,10 @@
 Runs `cli.main` over every scenario in `scenarios/`: `validate`,
 `generate`, `compare`, and `run` once in each mode.  Line events come
 from `sys.settrace`, installed before `cloudmarket` is imported, so
-import-time lines count as run.  A line is executable when a code
-object compiled from the module names it.  Every artifact goes to a
-temporary directory that is removed afterwards.
+import-time lines count as run, and the forked trace writer of each
+streamed run reports the lines it ran as it exits.  A line is
+executable when a code object compiled from the module names it.
+Every artifact goes to a temporary directory that is removed afterwards.
 
 What the scenarios never reach is the candidate list for deletion: code
 the product cannot run, or a branch that should fail loudly instead.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -106,12 +108,24 @@ def _spans(lines: list[int]) -> str:
 def main() -> int:
     sys.path.insert(0, str(SRC.parent))
     tracer = LineTracer(SRC)
-    sys.settrace(tracer)
-    try:
-        from cloudmarket import cli
+    real_exit = os._exit
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        forked = work / "forked_lines.tsv"
 
-        with tempfile.TemporaryDirectory() as tmp:
-            work = Path(tmp)
+        def exit_with_lines(status: int) -> None:
+            # a streamed run's trace writer is a forked process that leaves
+            # through os._exit: it writes out the lines it ran before it goes
+            with forked.open("a", encoding="utf-8") as handle:
+                for path, lines in tracer.run.items():
+                    handle.writelines(f"{path}\t{line}\n" for line in lines)
+            real_exit(status)
+
+        os._exit = exit_with_lines
+        sys.settrace(tracer)
+        try:
+            from cloudmarket import cli
+
             for scenario in sorted(SCENARIOS.glob("*.yaml")):
                 for argv in _runs(scenario, work):
                     with contextlib.redirect_stdout(io.StringIO()):
@@ -119,8 +133,12 @@ def main() -> int:
                     if code != 0:
                         print(f"exit {code}: {' '.join(argv)}", file=sys.stderr)
                         return 1
-    finally:
-        sys.settrace(None)
+        finally:
+            sys.settrace(None)
+            os._exit = real_exit
+        for row in forked.read_text(encoding="utf-8").splitlines():
+            path, line = row.split("\t")
+            tracer.run.setdefault(path, set()).add(int(line))
 
     total = 0
     for path in sorted(SRC.glob("*.py")):

@@ -21,7 +21,7 @@ from cloudmarket.allocator import (
 )
 from cloudmarket.datacenter import Block, Datacenter, MachineCalendar
 from cloudmarket.engine import SimEngine, TraceRecorder
-from cloudmarket.money import round_half_up
+from test_money import round_half_up
 
 
 def make_allocator(specs, rate=1, boot_delay=0):

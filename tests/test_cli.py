@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import mmap
+import os
+import signal
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -27,6 +30,11 @@ TWO_CLASS = str(SCENARIOS / "two_class.yaml")
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def assert_names_the_event(err, event, mode="market", seed=5):
+    """A run that exits 4 names the event it was handling, then its run."""
+    assert f"\n  while handling {event}\n  in the {mode} run of seed {seed}\n" in err, err
 
 
 def test_validate_ok_exits_zero(capsys):
@@ -143,7 +151,7 @@ def test_run_writes_all_four_artifacts(tmp_path, capsys, renders):
 
     summary = json.loads((out / "summary_seed5.json").read_text(encoding="utf-8"))
     # the summary, the report line and the trace file share one render
-    assert renders == {"trace": summary["events_fired"], "scenario": 1}
+    assert renders() == {"trace": summary["events_fired"], "scenario": 1}
     assert summary["seed"] == 5
     assert summary["config"]["scenario_path"] == SMOKE
     assert summary["requests"]["submitted"] > 0
@@ -163,21 +171,30 @@ def test_run_writes_all_four_artifacts(tmp_path, capsys, renders):
 
 @pytest.fixture
 def renders(monkeypatch):
-    """Count rendered trace lines and scenario dumps, the work behind the digests."""
-    counts = Counter()
-    line, dump = engine.trace_line, simulation.dump_scenario
+    """Count rendered trace lines (one payload digest each) and scenario
+    dumps, the work behind the digests; calling the fixture's value
+    gives the counts so far.
 
-    def counting_line(event):
-        counts["trace"] += 1
-        return line(event)
+    A streamed run renders in its writer process, a fork of this one, so
+    the counts live in an anonymous shared mapping that both write to.
+    """
+    shared = mmap.mmap(-1, 16)
+    slots = memoryview(shared).cast("q")
+    digest, dump = engine.payload_digest, simulation.dump_scenario
+
+    def counting_digest(payload):
+        slots[0] += 1
+        return digest(payload)
 
     def counting_dump(scenario):
-        counts["scenario"] += 1
+        slots[1] += 1
         return dump(scenario)
 
-    monkeypatch.setattr(engine, "trace_line", counting_line)
+    monkeypatch.setattr(engine, "payload_digest", counting_digest)
     monkeypatch.setattr(simulation, "dump_scenario", counting_dump)
-    return counts
+    yield lambda: +Counter(trace=slots[0], scenario=slots[1])
+    slots.release()
+    shared.close()
 
 
 def test_compare_renders_no_trace_and_dumps_no_scenario(tmp_path, capsys, renders):
@@ -187,7 +204,7 @@ def test_compare_renders_no_trace_and_dumps_no_scenario(tmp_path, capsys, render
     assert code == 0
     capsys.readouterr()
     assert len(read_csv(out / "compare.csv")) == 2
-    assert renders == {}
+    assert renders() == {}
 
 
 def test_vm_released_twice_exits_four_and_names_the_vm(tmp_path, monkeypatch, capsys):
@@ -206,6 +223,7 @@ def test_vm_released_twice_exits_four_and_names_the_vm(tmp_path, monkeypatch, ca
     assert code == 4
     err = capsys.readouterr().err
     assert released and f"runs no VM {released[0]} at t=" in err
+    assert_names_the_event(err, "completion (seq 117) at t=50")
 
 
 @pytest.mark.parametrize("mode", ["market", "system_centric"])
@@ -229,6 +247,8 @@ def test_duplicate_completion_exits_four_and_names_the_request(
     assert code == 4
     err = capsys.readouterr().err
     assert doubled and f"{doubled[0]} completed at t=" in err
+    assert_names_the_event(err, {"market": "completion (seq 80) at t=56",
+                                 "system_centric": "completion (seq 46) at t=36"}[mode], mode)
 
 
 def test_fill_for_a_request_not_pending_exits_four_and_names_it(
@@ -246,6 +266,7 @@ def test_fill_for_a_request_not_pending_exits_four_and_names_it(
     assert code == 4
     err = capsys.readouterr().err
     assert "filled req999999 at t=" in err and "not pending" in err
+    assert_names_the_event(err, "market_cycle (seq 0) at t=20")
 
 
 def test_query_before_the_prune_point_exits_four_and_names_it(
@@ -260,6 +281,7 @@ def test_query_before_the_prune_point_exits_four_and_names_it(
     assert code == 4
     err = capsys.readouterr().err
     assert "earliest_fit from t=" in err and "before t=" in err
+    assert_names_the_event(err, "market_cycle (seq 0) at t=20")
 
 
 def test_hold_before_the_prune_point_exits_four_and_names_it(
@@ -276,6 +298,7 @@ def test_hold_before_the_prune_point_exits_four_and_names_it(
     assert code == 4
     err = capsys.readouterr().err
     assert "fits from t=" in err and "before t=" in err
+    assert_names_the_event(err, "market_cycle (seq 0) at t=20")
 
 
 def test_trace_off_suppresses_the_log(tmp_path, capsys, renders):
@@ -286,7 +309,7 @@ def test_trace_off_suppresses_the_log(tmp_path, capsys, renders):
     capsys.readouterr()
     # the summary still carries both digests
     summary = json.loads((out / "summary_seed5.json").read_text(encoding="utf-8"))
-    assert renders == {"trace": summary["events_fired"], "scenario": 1}
+    assert renders() == {"trace": summary["events_fired"], "scenario": 1}
     assert not (out / "trace_seed5.log").exists()
     assert not any(p.name.startswith("trace") for p in out.iterdir())
 
@@ -295,7 +318,7 @@ def test_trace_file_and_both_digests_come_from_one_render(tmp_path, capsys, rend
     on, off = tmp_path / "on", tmp_path / "off"
     assert main(["--scenario", SMOKE, "--out", str(on), "--seed", "5"]) == 0
     fired = json.loads((on / "summary_seed5.json").read_text(encoding="utf-8"))["events_fired"]
-    assert renders == {"trace": fired, "scenario": 1}
+    assert renders() == {"trace": fired, "scenario": 1}
     assert main(["--scenario", SMOKE, "--out", str(off), "--seed", "5",
                  "--trace", "off"]) == 0
     capsys.readouterr()
@@ -334,7 +357,7 @@ def test_seed_sweep_writes_one_run_per_seed_plus_aggregate(tmp_path, capsys, ren
         json.loads((out / f"summary_seed{seed}.json").read_text(encoding="utf-8"))["events_fired"]
         for seed in (3, 4, 5)
     )
-    assert renders == {"trace": fired, "scenario": 3}
+    assert renders() == {"trace": fired, "scenario": 3}
     rows = read_csv(out / "aggregate.csv")
     assert [r["seed"] for r in rows] == ["3", "4", "5"]
     assert all(r["mode"] == "market" for r in rows)
@@ -419,16 +442,17 @@ def test_streamed_trace_matches_the_golden_digest(tmp_path, capsys, case):
 
 
 def test_failed_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
-    # seed 1 fails once streaming has written a chunk; the finished seed 0
-    # keeps its artifacts and seed 1 leaves no trace file, whole or partial
+    # seed 1 fails once its recorder has handed a chunk to the writer; the
+    # finished seed 0 keeps its artifacts, seed 1 leaves no trace file,
+    # whole or partial, and no writer process outlives the run
     out = tmp_path / "out"
     real_cycle = simulation._MarketRun.on_market_cycle
-    streamed = []
+    handed_over = []
 
     def fail_after_a_chunk(self, event):
         if self.seed == 1 and self.trace.count > engine._CHUNK_LINES:
-            partial = out / "trace_seed1.log.partial"
-            streamed.append(partial.stat().st_size)
+            assert (out / "trace_seed1.log.partial").is_file()
+            handed_over.append(self.trace.count - len(self.trace.held))
             raise UnexpectedFill(f"planted fault at t={event.fire_at}")
         return real_cycle(self, event)
 
@@ -436,9 +460,36 @@ def test_failed_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
     code = main(["--scenario", TWO_CLASS, "--out", str(out), "--seeds", "0..1"])
     assert code == 4
     assert "planted fault at t=" in capsys.readouterr().err
-    assert streamed and streamed[0] > 0
+    assert handed_over and handed_over[0] >= engine._CHUNK_LINES
     assert sorted(p.name for p in out.iterdir()) == [
         "journal_seed0.csv", "metrics_seed0.csv", "summary_seed0.json", "trace_seed0.log"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_killed_trace_writer_exits_four_and_names_its_status(tmp_path, monkeypatch, capsys):
+    # the first market cycle after the writer starts kills it: the run
+    # fails loudly with the writer's status, and leaves no file behind
+    out = tmp_path / "out"
+    real_cycle = simulation._MarketRun.on_market_cycle
+    killed = []
+
+    def kill_the_writer(self, event):
+        if self.trace._writer is not None and not killed:
+            killed.append(self.trace._writer.pid)
+            os.kill(killed[0], signal.SIGKILL)
+        return real_cycle(self, event)
+
+    monkeypatch.setattr(simulation._MarketRun, "on_market_cycle", kill_the_writer)
+    code = main(["--scenario", TWO_CLASS, "--out", str(out), "--seed", "0"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert killed
+    assert f"trace writer (pid {killed[0]}) was killed by signal {int(signal.SIGKILL)}," in err
+    assert "  in the market run of seed 0\n" in err
+    assert list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_run_holds_one_chunk_of_its_log_at_most(tmp_path, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +20,7 @@ from cloudmarket.engine import (
     SimEngine,
     TraceRecorder,
     TraceStreamed,
+    TraceWriterFailed,
     payload_digest,
     trace_line,
 )
@@ -203,17 +205,6 @@ def test_trace_digest_is_rendered_once_per_log_length_and_never_stale(monkeypatc
     assert renders == [1, 2]
 
 
-class _HashingSink:
-    """A binary sink that hashes what it is given and keeps nothing else."""
-
-    def __init__(self) -> None:
-        self.sha = hashlib.sha256()
-
-    def write(self, data: bytes) -> int:
-        self.sha.update(data)
-        return len(data)
-
-
 def _synthetic_log(count, sink=None, on_chunk=None):
     recorder = TraceRecorder(sink, on_chunk)
     for seq in range(count):
@@ -224,19 +215,54 @@ def _synthetic_log(count, sink=None, on_chunk=None):
 
 @pytest.mark.parametrize("count", [0, 1, engine_module._CHUNK_LINES,
                                    2 * engine_module._CHUNK_LINES + 3])
-def test_digest_sink_receives_the_lines_and_a_final_newline(count):
-    sink = io.BytesIO()
-    streamed = _synthetic_log(count, sink)
-    whole = _synthetic_log(count)
-    digest = streamed.digest()
-    expected = "\n".join(whole.lines()) + "\n"
-    assert sink.getvalue() == expected.encode("utf-8")
+def test_digest_sink_receives_the_lines_and_a_final_newline(count, tmp_path):
+    path = tmp_path / "trace.log"
+    with path.open("wb") as sink:
+        streamed = _synthetic_log(count, sink)
+        whole = _synthetic_log(count)
+        digest = streamed.digest()
+    expected = ("\n".join(whole.lines()) + "\n").encode("utf-8")
+    assert path.read_bytes() == expected
     # the digest hashes the file less its final newline
-    assert digest == hashlib.sha256(sink.getvalue()[:-1]).hexdigest()
+    assert digest == hashlib.sha256(expected[:-1]).hexdigest()
     assert streamed.digest() == digest == whole.digest()
     assert streamed.count == whole.count == count
     # a second digest writes nothing more
-    assert sink.getvalue() == expected.encode("utf-8")
+    assert path.read_bytes() == expected
+
+
+def test_a_sink_without_a_file_descriptor_is_refused():
+    # the writer process writes to the sink's descriptor
+    with pytest.raises(io.UnsupportedOperation):
+        TraceRecorder(io.BytesIO())
+
+
+def test_a_writer_that_cannot_write_fails_the_digest_and_is_reaped(tmp_path):
+    path = tmp_path / "trace.log"
+    path.write_bytes(b"")
+    with path.open("rb") as read_only:
+        recorder = _synthetic_log(3, read_only)
+        with pytest.raises(TraceWriterFailed,
+                           match=r"exited with status 1, replying \"OSError\(9, "):
+            recorder.digest()
+    recorder.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_closing_a_recorder_stops_its_writer_after_what_it_was_handed(tmp_path):
+    # a failed run closes its recorder without a digest: the writer
+    # writes every chunk it was handed, then is reaped
+    path = tmp_path / "trace.log"
+    count = 2 * engine_module._CHUNK_LINES + 3
+    with path.open("wb") as sink:
+        recorder = _synthetic_log(count, sink)
+        recorder.close()
+        recorder.close()
+    lines = path.read_bytes().decode("utf-8").splitlines()
+    assert lines == list(_synthetic_log(2 * engine_module._CHUNK_LINES).lines())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_digest_with_a_sink_holds_memory_flat_in_the_log_length():
@@ -246,7 +272,8 @@ def test_digest_with_a_sink_holds_memory_flat_in_the_log_length():
     def peak(count):
         tracemalloc.start()
         try:
-            _synthetic_log(count, _HashingSink()).digest()
+            with open(os.devnull, "wb") as sink:
+                _synthetic_log(count, sink).digest()
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -255,29 +282,31 @@ def test_digest_with_a_sink_holds_memory_flat_in_the_log_length():
     assert large <= 1.5 * small, (small, large)
 
 
-def test_a_streaming_recorder_hands_over_each_chunk_once_and_holds_less():
+def test_a_streaming_recorder_hands_over_each_chunk_once_and_holds_less(tmp_path):
     chunks = []
     count = 2 * engine_module._CHUNK_LINES + 3
-    recorder = TraceRecorder(io.BytesIO(), on_chunk=chunks.append)
-    for seq in range(count):
-        recorder(Event(fire_at=seq, seq=seq, kind="probe", payload={"n": seq}))
-        assert len(recorder.held) < engine_module._CHUNK_LINES
-        assert recorder.count == seq + 1
-    assert [len(chunk) for chunk in chunks] == [engine_module._CHUNK_LINES] * 2
-    # the chunks and what is still held are the log, each event once, in order
-    streamed = [ev.seq for chunk in chunks for ev in chunk] + [ev.seq for ev in recorder.held]
-    assert streamed == list(range(count))
-    recorder.digest()
+    with (tmp_path / "trace.log").open("wb") as sink:
+        recorder = TraceRecorder(sink, on_chunk=chunks.append)
+        for seq in range(count):
+            recorder(Event(fire_at=seq, seq=seq, kind="probe", payload={"n": seq}))
+            assert len(recorder.held) < engine_module._CHUNK_LINES
+            assert recorder.count == seq + 1
+        assert [len(chunk) for chunk in chunks] == [engine_module._CHUNK_LINES] * 2
+        # the chunks and what is still held are the log, each event once, in order
+        streamed = [ev.seq for chunk in chunks for ev in chunk] + [ev.seq for ev in recorder.held]
+        assert streamed == list(range(count))
+        recorder.digest()
     assert recorder.held == [] and recorder.count == count
 
 
-def test_a_streaming_recorder_gives_out_no_partial_log():
-    recorder = _synthetic_log(engine_module._CHUNK_LINES + 5, io.BytesIO())
-    with pytest.raises(TraceStreamed, match="no whole log"):
-        recorder.events
-    with pytest.raises(TraceStreamed, match="no whole log"):
-        recorder.lines()
-    recorder.digest()
+def test_a_streaming_recorder_gives_out_no_partial_log(tmp_path):
+    with (tmp_path / "trace.log").open("wb") as sink:
+        recorder = _synthetic_log(engine_module._CHUNK_LINES + 5, sink)
+        with pytest.raises(TraceStreamed, match="no whole log"):
+            recorder.events
+        with pytest.raises(TraceStreamed, match="no whole log"):
+            recorder.lines()
+        recorder.digest()
     with pytest.raises(TraceStreamed, match="after the trace digest"):
         recorder(Event(fire_at=99, seq=99, kind="late", payload={}))
     # a recorder without a sink still gives out its whole log and takes
@@ -328,6 +357,20 @@ def test_observers_see_events_handlers_ignore():
     engine.schedule("unhandled", fire_at=2)
     engine.run_until(2)
     assert seen == ["unhandled"]
+
+
+def test_a_failed_handler_names_the_event_it_was_handling():
+    engine = SimEngine()
+
+    def boom(event):
+        raise ValueError("planted")
+
+    engine.on("boom", boom)
+    engine.schedule("quiet", fire_at=1)
+    engine.schedule("boom", fire_at=3)
+    with pytest.raises(ValueError, match="planted") as caught:
+        engine.drain()
+    assert caught.value.__notes__ == ["while handling boom (seq 1) at t=3"]
 
 
 # -- seeded streams -----------------------------------------------------------------

@@ -28,7 +28,7 @@ from cloudmarket.exchange import (
     provider_set_price,
     settle_sla,
 )
-from cloudmarket.money import round_half_up
+from test_money import round_half_up
 from cloudmarket.negotiation import PenaltySchedule, Sla
 
 

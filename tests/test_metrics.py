@@ -1,8 +1,8 @@
 """Collector aggregates, summary serialization, and the three-way cross check."""
 
 import dataclasses
-import io
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -170,9 +170,11 @@ def streamed(collector, events, monkeypatch):
     recounting each chunk before it is dropped, as a streamed run does;
     return what the recorder still holds."""
     monkeypatch.setattr(engine_module, "_CHUNK_LINES", 2)
-    recorder = TraceRecorder(io.BytesIO(), on_chunk=collector.recount)
-    for ev in events:
-        recorder(ev)
+    with open(os.devnull, "wb") as sink:
+        recorder = TraceRecorder(sink, on_chunk=collector.recount)
+        for ev in events:
+            recorder(ev)
+        recorder.close()
     assert len(recorder.held) < 2 < len(events)
     return recorder.held
 

@@ -18,7 +18,7 @@ from cloudmarket.negotiation import (
     SessionTerminated,
     negotiate_price,
 )
-from cloudmarket.money import round_half_up
+from test_money import round_half_up
 
 
 def buyer_terms(opening, reservation, rounds, schedule=None, **kwargs):

@@ -2,7 +2,7 @@
 
 import gc
 import hashlib
-import io
+import os
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -440,17 +440,18 @@ def test_a_finished_run_is_freed_without_the_cyclic_collector(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["market", "system_centric"])
-def test_a_streamed_run_matches_a_run_that_keeps_its_log(mode):
+def test_a_streamed_run_matches_a_run_that_keeps_its_log(mode, tmp_path):
     # two_class fires more than one chunk of events: the streamed run
     # recounts each chunk before dropping it, the other its whole log
     scenario = load("two_class.yaml")
-    sink = io.BytesIO()
-    streamed = run_scenario(scenario, seed=0, mode=mode, trace_sink=sink)
+    path = tmp_path / "trace.log"
+    with path.open("wb") as sink:
+        streamed = run_scenario(scenario, seed=0, mode=mode, trace_sink=sink)
     whole = run_scenario(scenario, seed=0, mode=mode)
     assert streamed.summary.events_fired == whole.summary.events_fired > CHUNK_LINES
     assert streamed.collector.recounted == whole.collector.recounted
     assert streamed.collector.recounted.events == whole.summary.events_fired
-    assert sink.getvalue() == ("\n".join(whole.trace.lines()) + "\n").encode("utf-8")
+    assert path.read_bytes() == ("\n".join(whole.trace.lines()) + "\n").encode("utf-8")
     assert streamed.summary.to_json() == whole.summary.to_json()
     assert journal_rows(streamed) == journal_rows(whole)
     assert streamed.trace.held == []
@@ -462,7 +463,8 @@ def test_a_finished_streamed_run_is_freed_without_the_cyclic_collector():
     gc.collect()
     gc.disable()
     try:
-        result = run_scenario(load("smoke.yaml"), seed=11, trace_sink=io.BytesIO())
+        with open(os.devnull, "wb") as sink:
+            result = run_scenario(load("smoke.yaml"), seed=11, trace_sink=sink)
         trace, collector = weakref.ref(result.trace), weakref.ref(result.collector)
         del result
         assert trace() is None and collector() is None
@@ -513,16 +515,20 @@ def _mispriced_served(monkeypatch):
     (_doctored_journal, "journal replay"),
     (_mispriced_served, "consumer spend: events say"),
 ])
-def test_cross_check_keeps_its_teeth_in_a_streamed_run(monkeypatch, tamper, message, streamed):
+def test_cross_check_keeps_its_teeth_in_a_streamed_run(
+        monkeypatch, tmp_path, tamper, message, streamed):
     # chunks of 64 events: smoke fires about ten of them, so the fault is
     # recounted from a chunk that the streamed run has already dropped
     monkeypatch.setattr(engine_module, "_CHUNK_LINES", 64)
     tamper(monkeypatch)
-    sink = io.BytesIO() if streamed else None
-    with pytest.raises(CrossCheckFailure, match=message):
-        run_scenario(load("smoke.yaml"), seed=11, mode="market", trace_sink=sink)
+    path = tmp_path / "trace.log"
+    with path.open("wb") as sink:
+        with pytest.raises(CrossCheckFailure, match=message):
+            run_scenario(load("smoke.yaml"), seed=11, mode="market",
+                         trace_sink=sink if streamed else None)
+    # the failed run's writer was reaped once it had written what it was handed
     if streamed:
-        assert len(sink.getvalue().splitlines()) >= 64
+        assert len(path.read_bytes().splitlines()) >= 64
 
 
 @pytest.mark.parametrize("name", [

@@ -92,6 +92,28 @@ def test_run_path_modules_do_not_import_fractions():
     assert found == []
 
 
+def test_the_trace_writer_is_the_one_process_a_run_starts():
+    # one forked writer per streamed run, reaped by the run; a second
+    # process-starting path would be a second process to keep from
+    # outliving its run
+    starters = {"fork", "forkpty", "posix_spawn", "posix_spawnp", "system", "popen"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in starters
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name} os.{a.name}" for a in node.names if a.name in starters]
+        found += [
+            f"{path.name} {package}" for _, package in imported_packages(path)
+            if package in ("subprocess", "multiprocessing", "concurrent")
+        ]
+    assert list(SRC.glob("*.py")), f"no sources under {SRC}"
+    assert found == ["engine.py os.fork"]
+
+
 def test_every_simulator_exception_exits_four():
     # the CLI maps bad input to exit 2 or 3 and every other exception the
     # package defines to exit 4; one left out would exit 1 with a traceback
