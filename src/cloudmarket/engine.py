@@ -1,21 +1,25 @@
 """Deterministic discrete-event kernel.
 
-Integer tick clock, a heap-ordered event queue with (fire_at, priority,
-seq) ordering, and line-delimited trace emission. Every other component
-runs on top of this loop. The loop draws no random numbers: the only
-randomness is the request trace, which `workload.generate_requests`
-seeds from (scenario, master_seed), so a run is a pure function of the
-two.
+Integer tick clock, event ordering by (fire_at, priority, seq), and
+line-delimited trace emission. Every other component runs on top of
+this loop. The loop draws no random numbers: the only randomness is the
+request trace, which `workload.generate_requests` seeds from (scenario,
+master_seed), so a run is a pure function of the two.
+
+Most events fire in the tick that schedules them, every `emit` among
+them; those skip the heap (see `SimEngine`). The engine hands its log
+of fired events to its observers a chunk at a time, not an event at a
+time.
 
 The trace is the run's record of every fired event. Given a sink, the
-recorder hands it a chunk at a time, while the run fires, to one writer
-process and drops what it has handed over, so a run never holds more
-than one chunk of its log; without one it keeps the whole log in memory
-for its readers. The writer is forked (POSIX `os.fork`) when the first
-chunk is due; it renders, hashes and writes the lines to the sink's
-file descriptor, so the sink must be a real binary file, and it replies
-with the digest once the log ends. A writer that dies or replies
-without a digest fails the run with `TraceWriterFailed`.
+recorder hands each chunk, while the run fires, to one writer process
+and drops it, so a run never holds more than one chunk of its log;
+without one it keeps the whole log in memory for its readers. The
+writer is forked (POSIX `os.fork`) when the first chunk is due; it
+renders, hashes and writes the lines to the sink's file descriptor, so
+the sink must be a real binary file, and it replies with the digest
+once the log ends. A writer that dies or replies without a digest fails
+the run with `TraceWriterFailed`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import gc
 import hashlib
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import BinaryIO, Callable, Iterator, NoReturn
@@ -96,30 +101,48 @@ class SimEngine:
     """Single-threaded event loop with deterministic ordering.
 
     Handlers are registered per event kind; observers see every fired
-    event (metrics, trace writers). Events fire in (fire_at, priority,
-    seq) order: within a tick every priority-0 event fires before any
-    priority-1 event, including priority-0 events emitted while the
-    tick runs, and equal priorities fire in scheduling order because
-    seq strictly increases. VM provisions are the only priority-1
-    events, so a tick's completions and releases free their machines
-    first; what a provision emits (`vm_provision`, `dispatch`) is
-    priority 0 and precedes the tick's next provision. The trace lists
-    events in firing order, so seq is not monotone within a tick.
+    event (metrics, trace writers), a chunk at a time. Events fire in
+    (fire_at, priority, seq) order: within a tick every priority-0 event
+    fires before any priority-1 event, including priority-0 events
+    emitted while the tick runs, and equal priorities fire in scheduling
+    order because seq strictly increases. VM provisions are the only
+    priority-1 events, so a tick's completions and releases free their
+    machines first; what a provision emits (`vm_provision`, `dispatch`)
+    is priority 0 and precedes the tick's next provision. The trace
+    lists events in firing order, so seq is not monotone within a tick.
+
+    An event scheduled at priority 0 for the current tick joins the
+    lane, a first-in first-out queue; any other event goes on the heap.
+    The heap never holds a priority-0 entry for the current tick: the
+    clock moves only to a tick popped off the heap, and that tick's
+    other priority-0 entries move to the lane with it. They were all
+    scheduled before the clock reached the tick, so their seqs are lower
+    than anything the tick's events will add to the lane. Hence the lane
+    is always next in firing order, and the heap is popped only once
+    the lane is empty.
+
+    Each fired event is appended to `log`, the same list for the
+    engine's life, before its handler runs. Once it holds
+    `_CHUNK_LINES` events, they move to a new list, which every observer
+    is handed in turn; `drain` hands over the rest.
     """
 
     def __init__(self) -> None:
         self.clock: int = 0
         self._queue: list[tuple[int, int, int, Event]] = []  # (fire_at, priority, seq, event)
+        self._lane: deque[Event] = deque()  # the current tick's priority-0 events, by seq
         self._next_seq = 0
         self._handlers: dict[str, Callable[[Event], None]] = {}
-        self._observers: list[Callable[[Event], None]] = []
+        self._observers: list[Callable[[list[Event]], None]] = []
+        # fired events not yet handed to the observers, in firing order
+        self.log: list[Event] = []
 
     # -- wiring -----------------------------------------------------------
 
     def on(self, kind: str, handler: Callable[[Event], None]) -> None:
         self._handlers[kind] = handler
 
-    def add_observer(self, observer: Callable[[Event], None]) -> None:
+    def add_observer(self, observer: Callable[[list[Event]], None]) -> None:
         self._observers.append(observer)
 
     def clear_handlers(self) -> None:
@@ -136,10 +159,12 @@ class SimEngine:
             raise SchedulingInPast(f"fire_at={fire_at} < clock={self.clock}")
         seq = self._next_seq
         self._next_seq = seq + 1
-        # seq is unique, so the heap never compares two events
-        heapq.heappush(
-            self._queue, (fire_at, priority, seq, Event(fire_at, seq, kind, payload or {})),
-        )
+        event = Event(fire_at, seq, kind, payload or {})
+        if fire_at == self.clock and priority == 0:
+            self._lane.append(event)
+        else:
+            # seq is unique, so the heap never compares two events
+            heapq.heappush(self._queue, (fire_at, priority, seq, event))
         return seq
 
     def emit(self, kind: str, payload: dict | None = None) -> int:
@@ -149,17 +174,34 @@ class SimEngine:
     # -- execution --------------------------------------------------------
 
     def run_until(self, t_end: int) -> None:
+        """Fire every event due by `t_end`, then move the clock to `t_end`."""
+        if t_end < self.clock:
+            return  # nothing pending is due before the clock
         queue = self._queue
-        observers = self._observers
-        handler_for = self._handlers.get
+        lane = self._lane
+        take = lane.popleft
         pop = heapq.heappop
+        log = self.log
+        record = log.append
+        chunk_lines = _CHUNK_LINES
+        handler_for = self._handlers.get
         event = None
         try:
-            while queue and queue[0][0] <= t_end:
-                event = pop(queue)[3]
-                self.clock = event.fire_at
-                for observer in observers:
-                    observer(event)
+            while True:
+                if lane:
+                    event = take()
+                elif queue and queue[0][0] <= t_end:
+                    at, priority, _, event = pop(queue)
+                    self.clock = at
+                    if priority == 0:
+                        # the tick's other priority-0 entries precede all it emits
+                        while queue and queue[0][0] == at and queue[0][1] == 0:
+                            lane.append(pop(queue)[3])
+                else:
+                    break
+                record(event)
+                if len(log) >= chunk_lines:
+                    self._hand_over()
                 handler = handler_for(event.kind)
                 if handler is not None:
                     handler(event)
@@ -169,29 +211,42 @@ class SimEngine:
                     f"while handling {event.kind} (seq {event.seq}) at t={event.fire_at}"
                 )
             raise
-        self.clock = max(self.clock, t_end)
+        self.clock = t_end
 
     def drain(self) -> None:
-        """Run until the queue is empty, however far past t_end that goes."""
-        while self._queue:
-            self.run_until(self._queue[0][0])
+        """Run until nothing is pending, however far past t_end that goes,
+        then hand the rest of the log to the observers."""
+        while self._lane or self._queue:
+            # the lane's events are due now, and the heap's are not earlier
+            self.run_until(self._queue[0][0] if self._queue else self.clock)
+        if self.log:
+            self._hand_over()
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        return len(self._queue) + len(self._lane)
+
+    def _hand_over(self) -> None:
+        chunk = self.log.copy()
+        self.log.clear()
+        for observer in self._observers:
+            observer(chunk)
 
 
-# trace lines handed to the writer, then rendered, hashed and written, at
-# a time: enough to amortize the per-chunk calls, few enough that a
-# streamed run holds little of its log
+# events handed to the observers, and trace lines to the writer, then
+# rendered, hashed and written, at a time: enough to amortize the
+# per-chunk calls, few enough that a streamed run holds little of its log
 _CHUNK_LINES = 4096
 
 
 class TraceRecorder:
-    """The run's one event log: every fired event, in firing order.
+    """The run's one event log: every event its engine fires, in firing order.
 
-    The trace file's lines are the rendered events, joined by newlines
-    and ended by one; its digest is the sha256 of the lines joined.
+    The recorder observes the engine it is made for, which hands it the
+    log a chunk at a time; until then the fired events are the engine's
+    `log`, and `count` includes them. The trace file's lines are the
+    rendered events, joined by newlines and ended by one; its digest is
+    the sha256 of the lines joined.
 
     Without a sink the recorder keeps every event: `events` and
     `lines()` give the whole log, and `digest()` renders it on first
@@ -199,20 +254,21 @@ class TraceRecorder:
     A run that reads neither renders nothing.
 
     With a sink, a binary file with a `fileno()`, the recorder streams
-    instead. Each time `_CHUNK_LINES` events are held it hands them to
-    `on_chunk`, then to its writer process, which it starts for the
-    first chunk, and drops them; the writer renders, hashes and writes
-    them while the run goes on. `digest()` hands over what is still
-    held, waits for the writer to write it and the final newline, keeps
-    the digest the writer replies with and closes the log. Such a
-    recorder has no whole log to give out, so `events` and `lines()`
-    raise, as does recording after the digest; `held` is the part not
-    yet handed over. `close()` stops a writer that no digest has
-    stopped, so a failed run leaves no process behind.
+    instead. It hands each chunk to `on_chunk`, then to its writer
+    process, which it starts for the first chunk, and drops it; the
+    writer renders, hashes and writes it while the run goes on.
+    `digest()`, once the engine has drained, waits for the writer to
+    write the last chunk and the final newline, keeps the digest the
+    writer replies with and closes the log. Such a recorder has no whole
+    log to give out, so `events` and `lines()` raise, as does a chunk
+    after the digest; `held` is the part not yet handed over. `close()`
+    stops a writer that no digest has stopped, so a failed run leaves no
+    process behind.
     """
 
     def __init__(
         self,
+        engine: SimEngine,
         sink: BinaryIO | None = None,
         on_chunk: Callable[[list[Event]], None] | None = None,
     ) -> None:
@@ -222,35 +278,46 @@ class TraceRecorder:
         self._sink_fd = None if sink is None else sink.fileno()
         self._on_chunk = on_chunk
         self._writer: _TraceWriter | None = None
-        self._held: list[Event] = []
+        # the engine's list, not the engine: the engine holds this recorder
+        self._fired = engine.log
+        self._kept: list[Event] = []  # without a sink, every chunk handed over
         self._written = 0  # events handed to the writer and dropped
         self._digest: tuple[int, str] | None = None  # (events rendered, sha256)
-        # a recorder without a sink only appends: the same work per event as
-        # a list.  The bound `_stream` is a reference cycle until the digest
-        # replaces it, so a finished streamed run is freed by reference counting
-        self._record = self._held.append if sink is None else self._stream
+        engine.add_observer(self)
 
-    def __call__(self, event: Event) -> None:
-        self._record(event)
+    def __call__(self, chunk: list[Event]) -> None:
+        if self._sink is None:
+            self._kept += chunk
+            return
+        if self._digest is not None:
+            raise TraceStreamed(
+                f"{chunk[0].kind} (seq {chunk[0].seq}) recorded after the trace "
+                f"digest was taken"
+            )
+        if self._on_chunk is not None:
+            self._on_chunk(chunk)
+        self._hand_over(chunk)
 
     @property
     def count(self) -> int:
-        """Events recorded so far, handed to the writer or held."""
-        return self._written + len(self._held)
+        """Events fired so far, handed to the writer or held."""
+        return self._written + len(self._kept) + len(self._fired)
 
     @property
     def held(self) -> list[Event]:
         """The events not yet handed to the writer: the whole log without a sink."""
-        return self._held
+        if self._sink is not None:
+            return self._fired
+        return self._kept + self._fired if self._fired else self._kept
 
     @property
     def events(self) -> list[Event]:
         if self._sink is not None:
             raise TraceStreamed(
-                f"the trace streams to its sink and holds {len(self._held)} of "
+                f"the trace streams to its sink and holds {len(self._fired)} of "
                 f"{self.count} events; it has no whole log to give out"
             )
-        return self._held
+        return self.held
 
     def lines(self) -> Iterator[str]:
         return map(trace_line, self.events)
@@ -258,17 +325,20 @@ class TraceRecorder:
     def digest(self) -> str:
         if self._sink is not None:
             if self._digest is None:
-                self._hand_over(self._held)
-                self._held = []
+                if self._fired:
+                    raise TraceStreamed(
+                        f"{len(self._fired)} fired events are not yet handed over: "
+                        f"the digest waits for the engine to drain"
+                    )
+                self._hand_over([])  # starts the writer if no chunk has
                 self._digest = (self._written, self._writer.finish())
-                self._record = _refuse_after_digest
             return self._digest[1]
         # the log only grows, so its length says whether the digest is stale
-        if self._digest is None or self._digest[0] != len(self._held):
+        if self._digest is None or self._digest[0] != self.count:
             sha = hashlib.sha256()
             for data in _rendered(self.lines()):
                 sha.update(data)
-            self._digest = (len(self._held), sha.hexdigest())
+            self._digest = (self.count, sha.hexdigest())
         return self._digest[1]
 
     def close(self) -> None:
@@ -279,15 +349,6 @@ class TraceRecorder:
 
     # -- streaming ----------------------------------------------------------
 
-    def _stream(self, event: Event) -> None:
-        held = self._held
-        held.append(event)
-        if len(held) >= _CHUNK_LINES:
-            chunk, self._held = held, []
-            if self._on_chunk is not None:
-                self._on_chunk(chunk)
-            self._hand_over(chunk)
-
     def _hand_over(self, events: list[Event]) -> None:
         if self._writer is None:
             # what the sink's own buffer holds goes ahead of the lines
@@ -296,12 +357,6 @@ class TraceRecorder:
         if events:
             self._writer.send(events)
             self._written += len(events)
-
-
-def _refuse_after_digest(event: Event) -> None:
-    raise TraceStreamed(
-        f"{event.kind} (seq {event.seq}) recorded after the trace digest was taken"
-    )
 
 
 # -- the writer process ---------------------------------------------------------

@@ -359,26 +359,27 @@ def _select_requests(
         best: tuple[str, ...] | None = None
         picks: list[int] = []
         best_picks: list[int] = []
-
-        def search(i: int, room: int, utility: Money) -> None:
-            nonlocal best_utility, best, best_picks
+        # the search's pending branches, the next on top: (candidate index,
+        # room left, utility so far, how many of `picks` are this branch's)
+        stack = [(0, capacity, 0, 0)]
+        while stack:
+            i, room, utility, picked = stack.pop()
+            del picks[picked:]
             if utility + rest[i] < best_utility:
-                return
+                continue
             if i == n:
                 key = tuple(candidates[j][1].request_id for j in picks)
                 if utility > best_utility or (best is not None and key < best):
                     best_utility = utility
                     best = key
                     best_picks = list(picks)
-                return
+                continue
             gain, view = candidates[i]
+            # excluding candidate i is searched once including it is done
+            stack.append((i + 1, room, utility, picked))
             if view.quantity <= room:
                 picks.append(i)
-                search(i + 1, room - view.quantity, utility + gain)
-                picks.pop()
-            search(i + 1, room, utility)
-
-        search(0, capacity, 0)
+                stack.append((i + 1, room - view.quantity, utility + gain, picked + 1))
         return [candidates[j][1] for j in best_picks]
     chosen: list[BrokerRequestView] = []
     used = 0

@@ -1,16 +1,17 @@
 """Run measurement: per-request records, aggregates, and consistency checks.
 
-The collector ingests the event stream in time order and keeps
-incremental aggregates and per-request records; the raw events live in
-the run's one event log (engine.TraceRecorder).  The aggregates are
-recounted from that log a part at a time, each part once: every chunk a
-streaming recorder writes and drops, then what it still holds when the
-run ends.  A recorder without a sink hands over its whole log at the
-end.  The recounts are then reconciled with the tallies and the money
-ledger; any disagreement raises instead of reporting silently wrong
-numbers.  What each account was funded with is read from the
-journal's debits to the world account.  A summary's trace and scenario digests are computed
-on first read, so a run whose digests nobody reads hashes nothing.
+The collector folds the event stream in time order, a chunk at a time
+as the engine hands it over, into incremental aggregates and
+per-request records; the raw events live in the run's one event log
+(engine.TraceRecorder).  The aggregates are recounted from that log a
+part at a time, each part once: every chunk a streaming recorder writes
+and drops, then what it still holds when the run ends.  A recorder
+without a sink hands over its whole log at the end.  The recounts are
+then reconciled with the tallies and the money ledger; any disagreement
+raises instead of reporting silently wrong numbers.  What each account
+was funded with is read from the journal's debits to the world account.
+A summary's trace and scenario digests are computed on first read, so a
+run whose digests nobody reads hashes nothing.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.records: dict[str, RequestRecord] = {}
-        self._last_time: int | None = None
+        self._last_time = 0  # the engine's clock starts at 0
         self.submitted = 0
         self.accepted = 0
         self.served = 0
@@ -180,16 +181,23 @@ class MetricsCollector:
         self.price_count = 0
         self.recounted = Recount()
 
-    def observer(self, event: Event) -> None:
-        self.record(event.fire_at, event.kind, event.payload)
+    def record(self, events: list[Event]) -> None:
+        """Fold a chunk of fired events, in firing order, into the tallies.
 
-    def record(self, at: int, kind: str, payload: dict) -> None:
-        if self._last_time is not None and at < self._last_time:
-            raise OutOfOrderEvent(f"{kind} at {at} after seeing {self._last_time}")
-        self._last_time = at
-        handler = self._HANDLERS.get(kind)
-        if handler is not None:
-            handler(self, at, payload)
+        The engine hands over its log a chunk at a time, so this is the
+        collector's one call per chunk, not per event.
+        """
+        last = self._last_time
+        handlers = self._HANDLERS
+        for ev in events:
+            at = ev.fire_at
+            if at < last:
+                raise OutOfOrderEvent(f"{ev.kind} at {at} after seeing {last}")
+            last = at
+            handler = handlers.get(ev.kind)
+            if handler is not None:
+                handler(self, at, ev.payload)
+        self._last_time = last
 
     # -- per-kind updates -----------------------------------------------------
 

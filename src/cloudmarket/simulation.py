@@ -10,6 +10,7 @@ backlog pushes completions past deadlines.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -117,9 +118,8 @@ class _Run:
         self.engine = SimEngine()
         self.collector = MetricsCollector()
         # a streamed chunk is recounted for the cross-check before it is dropped
-        self.trace = TraceRecorder(trace_sink, on_chunk=self.collector.recount)
-        self.engine.add_observer(self.trace)
-        self.engine.add_observer(self.collector.observer)
+        self.trace = TraceRecorder(self.engine, trace_sink, on_chunk=self.collector.recount)
+        self.engine.add_observer(self.collector.record)
         self.ledger = Ledger()
 
         self.providers: dict[str, _Provider] = {}
@@ -697,44 +697,55 @@ def run_scenario(
     keeps only the digest.  Without one, `trace` keeps every event.
     Whether the run returns or raises, its writer has been reaped, and
     an exception the run raises carries a note naming its mode and seed.
+
+    A run builds no reference cycle that outlives it: what it allocates
+    is freed by reference counting.  So the cyclic collector, which
+    would only walk the run's live objects again and again, is off from
+    generation to return, and then back as the caller had it.
     """
-    if seed is None:
-        seed = scenario.master_seed if scenario.master_seed is not None else 0
-    if mode is None:
-        mode = scenario.mode
-    if requests is None:
-        requests = generate_requests(scenario, seed)
-    if mode == MODE_SYSTEM_CENTRIC:
-        run: _Run = _BaselineRun(scenario, seed, mode, trace_sink)
-    elif mode == MODE_MARKET:
-        run = _MarketRun(scenario, seed, mode, trace_sink)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        run.start()
-        run.schedule_requests(requests)
-        summary = run.finish()
-        if trace_sink is not None:
-            run.trace.digest()
-    except Exception as exc:
-        exc.add_note(f"in the {mode} run of seed {seed}")
-        raise
+        if seed is None:
+            seed = scenario.master_seed if scenario.master_seed is not None else 0
+        if mode is None:
+            mode = scenario.mode
+        if requests is None:
+            requests = generate_requests(scenario, seed)
+        if mode == MODE_SYSTEM_CENTRIC:
+            run: _Run = _BaselineRun(scenario, seed, mode, trace_sink)
+        elif mode == MODE_MARKET:
+            run = _MarketRun(scenario, seed, mode, trace_sink)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        try:
+            run.start()
+            run.schedule_requests(requests)
+            summary = run.finish()
+            if trace_sink is not None:
+                run.trace.digest()
+        except Exception as exc:
+            exc.add_note(f"in the {mode} run of seed {seed}")
+            raise
+        finally:
+            # a writer process never outlives its run; the handlers are the
+            # run's bound methods, and the run holds the engine: dropping
+            # them lets reference counting free the run, finished or failed
+            run.trace.close()
+            run.engine.clear_handlers()
+        return RunResult(
+            scenario=scenario,
+            seed=seed,
+            mode=mode,
+            summary=summary,
+            collector=run.collector,
+            ledger=run.ledger,
+            trace=run.trace,
+            requests=requests,
+        )
     finally:
-        # a writer process never outlives its run
-        run.trace.close()
-    # the handlers are the run's bound methods, and the run holds the
-    # engine: dropping them lets reference counting free the finished run
-    run.engine.clear_handlers()
-    return RunResult(
-        scenario=scenario,
-        seed=seed,
-        mode=mode,
-        summary=summary,
-        collector=run.collector,
-        ledger=run.ledger,
-        trace=run.trace,
-        requests=requests,
-    )
+        if collecting:
+            gc.enable()
 
 
 def compare_modes(scenario: Scenario, seed: int | None = None) -> tuple[RunResult, RunResult]:

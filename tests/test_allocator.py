@@ -222,8 +222,7 @@ def test_admit_reserved_emits_the_backed_admission_and_commits_nothing():
     # the reserved block is boot + runtime long; the agreed price stands
     # even above the posted quote (8 cu-ticks at 100 = 800)
     alloc = make_allocator([("m1", 4, 16)], rate=100, boot_delay=2)
-    recorder = TraceRecorder()
-    alloc.engine.add_observer(recorder)
+    recorder = TraceRecorder(alloc.engine)
     calendar = alloc.datacenter.calendars["m1"]
     calendar.add(Block(5, 9, 4, 2, owner="rsv000001"))
     alloc.engine.run_until(3)

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, artifacts, and sweep tables."""
 
 import csv
+import gc
 import hashlib
 import json
 import mmap
@@ -461,6 +462,8 @@ def test_failed_run_leaves_no_trace_file(tmp_path, monkeypatch, capsys):
     assert code == 4
     assert "planted fault at t=" in capsys.readouterr().err
     assert handed_over and handed_over[0] >= engine._CHUNK_LINES
+    # the run turned the cyclic collector off, and back on as it failed
+    assert gc.isenabled()
     assert sorted(p.name for p in out.iterdir()) == [
         "journal_seed0.csv", "metrics_seed0.csv", "summary_seed0.json", "trace_seed0.log"]
     with pytest.raises(ChildProcessError):

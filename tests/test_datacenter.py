@@ -30,8 +30,7 @@ def provision(dc, cpu, mem, at, machine_id, request_id="req000001", volume=1):
 
 def make_dc(specs, boot_delay=0):
     engine = SimEngine()
-    recorder = TraceRecorder()
-    engine.add_observer(recorder)
+    recorder = TraceRecorder(engine)
     dc = Datacenter(engine, "prov", specs, boot_delay=boot_delay)
     return engine, recorder, dc
 

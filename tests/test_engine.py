@@ -8,6 +8,7 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
@@ -57,8 +58,7 @@ def test_scheduling_in_the_past_is_refused():
 
 def test_run_until_on_empty_queue_just_moves_the_clock():
     engine = SimEngine()
-    recorder = TraceRecorder()
-    engine.add_observer(recorder)
+    recorder = TraceRecorder(engine)
     engine.run_until(100)
     assert recorder.events == []
     assert engine.clock == 100
@@ -88,7 +88,7 @@ def test_emit_lands_later_in_the_same_tick():
     engine.on("second", lambda ev: seen.append("second"))
     engine.schedule("first", fire_at=3)
     engine.schedule("bystander", fire_at=3)
-    engine.add_observer(lambda ev: None)
+    engine.add_observer(lambda chunk: None)
     engine.run_until(3)
     assert seen == ["first", "second"]
     assert engine.clock == 3
@@ -140,8 +140,7 @@ def test_drain_runs_past_follow_up_events():
 def _traced_run(master_seed):
     engine = SimEngine()
     rng = random.Random(f"{master_seed}/arrivals")
-    recorder = TraceRecorder()
-    engine.add_observer(recorder)
+    recorder = TraceRecorder(engine)
 
     def arrival(ev):
         gap = rng.randint(1, 9)
@@ -181,8 +180,7 @@ def _sha256_of_lines(recorder):
 
 def test_trace_digest_is_rendered_once_per_log_length_and_never_stale(monkeypatch):
     engine = SimEngine()
-    recorder = TraceRecorder()
-    engine.add_observer(recorder)
+    recorder = TraceRecorder(engine)
     renders = []
     lines = TraceRecorder.lines
 
@@ -206,10 +204,13 @@ def test_trace_digest_is_rendered_once_per_log_length_and_never_stale(monkeypatc
 
 
 def _synthetic_log(count, sink=None, on_chunk=None):
-    recorder = TraceRecorder(sink, on_chunk)
-    for seq in range(count):
-        recorder(Event(fire_at=seq // 7, seq=seq, kind="probe",
-                       payload={"request_id": f"req{seq:06d}", "n": seq}))
+    # fed as an engine feeds it: each full chunk, then the rest
+    recorder = TraceRecorder(SimEngine(), sink, on_chunk)
+    size = engine_module._CHUNK_LINES
+    for start in range(0, count, size):
+        recorder([Event(fire_at=seq // 7, seq=seq, kind="probe",
+                        payload={"request_id": f"req{seq:06d}", "n": seq})
+                  for seq in range(start, min(start + size, count))])
     return recorder
 
 
@@ -234,7 +235,7 @@ def test_digest_sink_receives_the_lines_and_a_final_newline(count, tmp_path):
 def test_a_sink_without_a_file_descriptor_is_refused():
     # the writer process writes to the sink's descriptor
     with pytest.raises(io.UnsupportedOperation):
-        TraceRecorder(io.BytesIO())
+        TraceRecorder(SimEngine(), io.BytesIO())
 
 
 def test_a_writer_that_cannot_write_fails_the_digest_and_is_reaped(tmp_path):
@@ -252,11 +253,18 @@ def test_a_writer_that_cannot_write_fails_the_digest_and_is_reaped(tmp_path):
 
 def test_closing_a_recorder_stops_its_writer_after_what_it_was_handed(tmp_path):
     # a failed run closes its recorder without a digest: the writer
-    # writes every chunk it was handed, then is reaped
+    # writes every chunk it was handed, and none of what its engine
+    # fired but had not handed over, then is reaped
     path = tmp_path / "trace.log"
     count = 2 * engine_module._CHUNK_LINES + 3
+    engine = SimEngine()
     with path.open("wb") as sink:
-        recorder = _synthetic_log(count, sink)
+        recorder = TraceRecorder(engine, sink)
+        for seq in range(count):
+            engine.schedule("probe", {"request_id": f"req{seq:06d}", "n": seq},
+                            fire_at=seq // 7)
+        engine.run_until(count)
+        assert recorder.count == count and len(recorder.held) == 3
         recorder.close()
         recorder.close()
     lines = path.read_bytes().decode("utf-8").splitlines()
@@ -285,18 +293,30 @@ def test_digest_with_a_sink_holds_memory_flat_in_the_log_length():
 def test_a_streaming_recorder_hands_over_each_chunk_once_and_holds_less(tmp_path):
     chunks = []
     count = 2 * engine_module._CHUNK_LINES + 3
+    engine = SimEngine()
     with (tmp_path / "trace.log").open("wb") as sink:
-        recorder = TraceRecorder(sink, on_chunk=chunks.append)
-        for seq in range(count):
-            recorder(Event(fire_at=seq, seq=seq, kind="probe", payload={"n": seq}))
+        recorder = TraceRecorder(engine, sink, on_chunk=chunks.append)
+
+        def probe(ev):
             assert len(recorder.held) < engine_module._CHUNK_LINES
-            assert recorder.count == seq + 1
+            assert recorder.count == ev.seq + 1
+            if ev.seq + 1 < count:
+                engine.schedule("probe", {"n": ev.seq + 1}, fire_at=ev.fire_at + 1)
+
+        engine.on("probe", probe)
+        engine.schedule("probe", {"n": 0})
+        engine.run_until(count)
         assert [len(chunk) for chunk in chunks] == [engine_module._CHUNK_LINES] * 2
+        assert recorder.count == count and len(recorder.held) == 3
         # the chunks and what is still held are the log, each event once, in order
         streamed = [ev.seq for chunk in chunks for ev in chunk] + [ev.seq for ev in recorder.held]
         assert streamed == list(range(count))
+        with pytest.raises(TraceStreamed, match="3 fired events are not yet handed over"):
+            recorder.digest()
+        engine.drain()
         recorder.digest()
     assert recorder.held == [] and recorder.count == count
+    assert [len(chunk) for chunk in chunks] == [engine_module._CHUNK_LINES] * 2 + [3]
 
 
 def test_a_streaming_recorder_gives_out_no_partial_log(tmp_path):
@@ -308,12 +328,12 @@ def test_a_streaming_recorder_gives_out_no_partial_log(tmp_path):
             recorder.lines()
         recorder.digest()
     with pytest.raises(TraceStreamed, match="after the trace digest"):
-        recorder(Event(fire_at=99, seq=99, kind="late", payload={}))
+        recorder([Event(fire_at=99, seq=99, kind="late", payload={})])
     # a recorder without a sink still gives out its whole log and takes
     # events after a digest, which it then renders again
     whole = _synthetic_log(3)
     first = whole.digest()
-    whole(Event(fire_at=99, seq=99, kind="late", payload={}))
+    whole([Event(fire_at=99, seq=99, kind="late", payload={})])
     assert len(whole.events) == 4 and whole.digest() != first
 
 
@@ -336,8 +356,8 @@ def test_payload_digest_matches_json_dumps(payload):
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
     expected = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
     assert payload_digest(payload) == expected
-    recorder = TraceRecorder()
-    recorder(Event(fire_at=3, seq=7, kind="probe", payload=payload))
+    recorder = TraceRecorder(SimEngine())
+    recorder([Event(fire_at=3, seq=7, kind="probe", payload=payload)])
     assert list(recorder.lines()) == [f"3\t7\tprobe\t{expected}"]
 
 
@@ -353,10 +373,31 @@ def test_pure_python_encoder_renders_the_same_digest(monkeypatch):
 def test_observers_see_events_handlers_ignore():
     engine = SimEngine()
     seen = []
-    engine.add_observer(lambda ev: seen.append(ev.kind))
+    engine.add_observer(lambda chunk: seen.extend(ev.kind for ev in chunk))
     engine.schedule("unhandled", fire_at=2)
     engine.run_until(2)
-    assert seen == ["unhandled"]
+    assert seen == [] and [ev.kind for ev in engine.log] == ["unhandled"]
+    engine.drain()
+    assert seen == ["unhandled"] and engine.log == []
+
+
+def test_observers_take_the_log_a_chunk_at_a_time(monkeypatch):
+    # each full chunk as it fills, before the handler of its last event,
+    # and the rest once the run drains; the engine keeps none of a chunk
+    monkeypatch.setattr(engine_module, "_CHUNK_LINES", 3)
+    engine = SimEngine()
+    chunks, handled = [], []
+    engine.add_observer(chunks.append)
+    engine.on("e", lambda ev: handled.append((ev.seq, len(chunks))))
+    for at in (1, 1, 2, 3, 3, 3, 4):
+        engine.schedule("e", fire_at=at)
+    engine.run_until(3)
+    assert [[ev.seq for ev in chunk] for chunk in chunks] == [[0, 1, 2], [3, 4, 5]]
+    assert handled == [(0, 0), (1, 0), (2, 1), (3, 1), (4, 1), (5, 2)]
+    engine.drain()
+    assert [[ev.seq for ev in chunk] for chunk in chunks] == [[0, 1, 2], [3, 4, 5], [6]]
+    engine.drain()
+    assert len(chunks) == 3
 
 
 def test_a_failed_handler_names_the_event_it_was_handling():
@@ -386,7 +427,7 @@ def test_uniform_degenerate_support_returns_the_point():
 def test_streams_are_isolated():
     # oracle: generate, then again with the volume and cpu_need
     # distributions changed; attributes drawn from other streams stay
-    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    raw = yaml.safe_load(Path("scenarios/smoke.yaml").read_text(encoding="utf-8"))
     base = generate_requests(validate_scenario(raw), 9)
     raw["workload"]["volume"] = {"kind": "choice", "values": [5, 500], "weights": [1, 3]}
     raw["workload"]["cpu_need"] = {"kind": "uniform_int", "low": 1, "high": 16}
@@ -464,6 +505,66 @@ def test_events_fire_in_fire_at_seq_order_without_comparing_events():
         engine.drain()
         assert fired == sorted(scheduled), seed
         assert engine.pending == 0
+
+
+# an action schedules one event: ("emit",) now at priority 0, or
+# ("schedule", delay, priority) at clock + delay, so delay 0 is this tick
+_ACTIONS = st.one_of(
+    st.just(("emit",)),
+    st.tuples(st.just("schedule"), st.integers(0, 3), st.sampled_from([0, 1])),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    first=st.lists(st.tuples(st.integers(0, 6), st.sampled_from([0, 1])), min_size=1, max_size=8),
+    reactions=st.lists(st.lists(_ACTIONS, max_size=3), max_size=60),
+    steps=st.lists(st.one_of(
+        st.tuples(st.just("run_until"), st.integers(-2, 5)),  # t_end, from the clock
+        st.tuples(st.just("outside"), _ACTIONS),  # scheduled between runs
+    ), max_size=8),
+)
+def test_the_lane_and_the_heap_fire_in_fire_at_priority_seq_order(first, reactions, steps):
+    # the k-th fired event's handler takes the k-th reaction.  Whatever
+    # the mix of same-tick and later events, priorities, run boundaries
+    # and the final drain, each event fires when it is the least
+    # (fire_at, priority, seq) of all those pending, and a run fires all
+    # that are due by its end
+    engine = SimEngine()
+    pending = set()  # (fire_at, priority, seq) of the events not yet fired
+    fired = []
+
+    def act(action):
+        if action[0] == "emit":
+            pending.add((engine.clock, 0, engine.emit("e")))
+        else:
+            _, delay, priority = action
+            at = engine.clock + delay
+            pending.add((at, priority, engine.schedule("e", fire_at=at, priority=priority)))
+
+    def on_event(ev):
+        key = min(pending)
+        assert (ev.fire_at, ev.seq) == (key[0], key[2]) and ev.fire_at == engine.clock
+        pending.remove(key)
+        fired.append(key)
+        if len(fired) <= len(reactions):
+            for action in reactions[len(fired) - 1]:
+                act(action)
+
+    engine.on("e", on_event)
+    for at, priority in first:
+        pending.add((at, priority, engine.schedule("e", fire_at=at, priority=priority)))
+    for step, arg in steps:
+        if step == "outside":
+            act(arg)
+            continue
+        clock, t_end = engine.clock, engine.clock + arg
+        engine.run_until(t_end)
+        assert engine.clock == max(clock, t_end)
+        assert not any(at <= t_end for at, _, _ in pending)
+        assert engine.pending == len(pending)
+    engine.drain()
+    assert not pending and engine.pending == 0 and engine.log == []
 
 
 def test_emit_goes_through_schedule(monkeypatch):

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-import cloudmarket.engine as engine_module
 from cloudmarket.engine import Event, SimEngine, TraceRecorder
 from cloudmarket.exchange import Ledger
 from cloudmarket.metrics import (
@@ -21,10 +20,10 @@ from cloudmarket.metrics import (
 
 
 def feed(collector, events, at, kind, payload):
-    """Log one event and show it to the collector, as a run's observers do."""
+    """Log one event and fold it into the collector, as a chunk of one."""
     event = Event(at, len(events), kind, payload)
     events.append(event)
-    collector.observer(event)
+    collector.record([event])
 
 
 def summarize(collector, events, ledger, *, providers, brokers, consumers,
@@ -165,18 +164,18 @@ def test_cross_check_catches_mispriced_served_event():
         collector.cross_check(events, summary, ledger)
 
 
-def streamed(collector, events, monkeypatch):
+def streamed(collector, events):
     """Pass the log through a recorder that streams it in chunks of two,
     recounting each chunk before it is dropped, as a streamed run does;
-    return what the recorder still holds."""
-    monkeypatch.setattr(engine_module, "_CHUNK_LINES", 2)
+    return the part short of a chunk, which the run's engine would hold."""
+    handed = len(events) - len(events) % 2
     with open(os.devnull, "wb") as sink:
-        recorder = TraceRecorder(sink, on_chunk=collector.recount)
-        for ev in events:
-            recorder(ev)
+        recorder = TraceRecorder(SimEngine(), sink, on_chunk=collector.recount)
+        for start in range(0, handed, 2):
+            recorder(events[start:start + 2])
         recorder.close()
-    assert len(recorder.held) < 2 < len(events)
-    return recorder.held
+    assert handed > 2
+    return events[handed:]
 
 
 def served_at_601(summary, events, ledger):
@@ -201,12 +200,12 @@ def one_more_submitted(summary, events, ledger):
     (doctored_journal, "replay"),
     (served_at_601, "spend"),
 ])
-def test_cross_check_keeps_its_teeth_when_the_log_is_streamed(monkeypatch, tamper, message):
+def test_cross_check_keeps_its_teeth_when_the_log_is_streamed(tamper, message):
     # the same faults as the tests above, recounted a chunk at a time
     collector, events, ledger, summary = small_summary()
     if tamper is not None:
         summary = tamper(summary, events, ledger)
-    rest = streamed(collector, events, monkeypatch)
+    rest = streamed(collector, events)
     if message is None:
         collector.cross_check(rest, summary, ledger)
     else:
@@ -214,9 +213,9 @@ def test_cross_check_keeps_its_teeth_when_the_log_is_streamed(monkeypatch, tampe
             collector.cross_check(rest, summary, ledger)
 
 
-def test_cross_check_counts_each_event_once(monkeypatch):
+def test_cross_check_counts_each_event_once():
     collector, events, ledger, summary = small_summary()
-    rest = streamed(collector, events, monkeypatch)
+    rest = streamed(collector, events)
     whole = MetricsCollector()
     whole.recount(events)
     collector.recount(rest)
@@ -231,19 +230,23 @@ def test_cross_check_counts_each_event_once(monkeypatch):
 
 
 def test_events_must_arrive_in_time_order():
+    def trade(at, seq):
+        return Event(at, seq, "trade", {"quantity": 1})
+
     collector = MetricsCollector()
-    collector.record(5, "trade", {"quantity": 1})
-    collector.record(5, "trade", {"quantity": 1})  # ties are fine
-    with pytest.raises(OutOfOrderEvent):
-        collector.record(3, "trade", {"quantity": 1})
+    collector.record([trade(4, 0), trade(5, 1)])
+    collector.record([trade(5, 2)])  # ties are fine, across chunks too
+    with pytest.raises(OutOfOrderEvent, match="trade at 3 after seeing 5"):
+        collector.record([trade(3, 3)])
+    with pytest.raises(OutOfOrderEvent, match="trade at 6 after seeing 7"):
+        MetricsCollector().record([trade(7, 0), trade(6, 1)])
 
 
 def test_unknown_event_kinds_are_kept_but_ignored():
     engine = SimEngine()
-    log = TraceRecorder()
+    log = TraceRecorder(engine)
     collector = MetricsCollector()
-    engine.add_observer(log)
-    engine.add_observer(collector.observer)
+    engine.add_observer(collector.record)
     engine.emit("provider_gossip", {"anything": True})
     engine.drain()
     assert [(ev.kind, ev.payload) for ev in log.events] == [

@@ -330,10 +330,6 @@ def test_budget_top_ups_cover_the_budgets_in_flight(name, variant, mode):
     journal = run.ledger.journal
     log = []  # (what, request_id, journal length at that moment)
 
-    def on_fired(event):
-        if event.kind == "request_submitted":
-            log.append(("submitted", event.payload["request_id"], len(journal)))
-
     emit = run.engine.emit
 
     def logged_emit(kind, payload=None):
@@ -341,8 +337,14 @@ def test_budget_top_ups_cover_the_budgets_in_flight(name, variant, mode):
             log.append(("resolved", payload["request_id"], len(journal)))
         return emit(kind, payload)
 
-    run.engine.add_observer(on_fired)
+    on_submitted = run.on_request_submitted
+
+    def logged_submitted(event):
+        log.append(("submitted", event.payload["request_id"], len(journal)))
+        return on_submitted(event)
+
     run.engine.emit = logged_emit
+    run.on_request_submitted = logged_submitted
     requests = generate_requests(scenario, seed)
     run.start()
     run.schedule_requests(requests)
@@ -470,6 +472,66 @@ def test_a_finished_streamed_run_is_freed_without_the_cyclic_collector():
         assert trace() is None and collector() is None
     finally:
         gc.enable()
+
+
+def _cyclic_garbage_from_cloudmarket():
+    """What a full collection would free that cloudmarket's code made:
+    functions, methods and instances of its classes caught in cycles."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        return Counter(
+            type(o).__name__ for o in gc.garbage
+            if str(getattr(o, "__module__", "")).startswith("cloudmarket")
+        )
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+@pytest.mark.parametrize("streamed", [False, True], ids=["kept", "streamed"])
+@pytest.mark.parametrize("mode", ["market", "system_centric"])
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.yaml")))
+def test_a_run_builds_no_reference_cycles(name, mode, streamed):
+    # a run fires with the cyclic collector off, so any cycle it builds
+    # stays in memory until the caller's next collection
+    scenario = load(name)
+    gc.collect()
+    gc.disable()
+    try:
+        with open(os.devnull, "wb") as sink:
+            result = run_scenario(scenario, mode=mode, trace_sink=sink if streamed else None)
+            assert not gc.isenabled()
+            result.summary.trace_digest, result.summary.scenario_digest
+            del result
+        assert _cyclic_garbage_from_cloudmarket() == Counter()
+    finally:
+        gc.enable()
+
+
+def test_a_run_restores_the_callers_collector_whether_it_returns_or_fails(monkeypatch):
+    seen = []
+    real_cycle = simulation._MarketRun.on_market_cycle
+
+    def note_and_fail(self, event):
+        seen.append(gc.isenabled())
+        if self.seed == 1:
+            raise RuntimeError("planted fault")
+        return real_cycle(self, event)
+
+    monkeypatch.setattr(simulation._MarketRun, "on_market_cycle", note_and_fail)
+    scenario = load("smoke.yaml")
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_scenario(scenario, seed=0, mode="market")
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="planted fault"):
+                run_scenario(scenario, seed=1, mode="market")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+    assert seen and not any(seen)
 
 
 def _one_more_submitted(monkeypatch):

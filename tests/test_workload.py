@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import yaml
@@ -349,7 +350,7 @@ def test_fractional_constant_stays_allowed_for_real_fields():
 def policy_variant():
     # smoke.yaml with every non-default policy kind: unsorted peak
     # windows, utilization pricing, a poly schedule, an uncapped penalty
-    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    raw = yaml.safe_load(Path("scenarios/smoke.yaml").read_text(encoding="utf-8"))
     raw["providers"][0]["pricing"] = {
         "kind": "peak_off_peak", "rate": "7/2", "peak_multiplier": "3/2",
         "peak_windows": [[120, 180], [20, 60]], "day_length": 200,
@@ -382,7 +383,7 @@ def test_policy_variant_dump_is_pinned():
 
 def every_type_scenarios():
     """Scenarios that between them hold every validated type and kind."""
-    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    raw = yaml.safe_load(Path("scenarios/smoke.yaml").read_text(encoding="utf-8"))
     raw["providers"][1]["pricing"] = {
         "kind": "peak_off_peak", "rate": "7/2", "peak_multiplier": "3/2",
         "peak_windows": [[20, 60], [120, 180]], "day_length": 200,
@@ -566,7 +567,7 @@ def test_attribute_streams_are_independent_of_arrival_spacing():
 
 def constant_periodic_raw():
     # every draw constant, slack and budget factor non-integer
-    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    raw = yaml.safe_load(Path("scenarios/smoke.yaml").read_text(encoding="utf-8"))
     raw["workload"] = {
         "arrival": {"kind": "periodic", "interval": 7},
         "volume": {"kind": "constant", "value": 30},
@@ -580,7 +581,7 @@ def constant_periodic_raw():
 
 
 def trace_raw():
-    raw = yaml.safe_load(open("scenarios/smoke.yaml", encoding="utf-8"))
+    raw = yaml.safe_load(Path("scenarios/smoke.yaml").read_text(encoding="utf-8"))
     raw["workload"] = {"arrival": {"kind": "trace", "requests": [
         {"consumer_id": "zenith", "submit_time": 0, "volume": 40, "cpu_need": 4,
          "mem_need": 8, "deadline": 30, "budget": 900},
